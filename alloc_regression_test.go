@@ -45,6 +45,15 @@ const (
 	maxDupPipelineAllocs = 1950
 )
 
+// maxVerifyAllocs budgets what Options.Verify adds to RunProgram(li):
+// the allocations with it on minus those with it off, over the three
+// verifier brackets (pass 1, pass 2, local post-pass). Measured
+// 2026-10: ~6500 before the verifier's dense-state rewrite; ~20 after
+// it (the three snapshots; checks reuse pooled state), with run-to-run
+// noise of about ±40 from the scheduler's own pools refilling after a
+// GC. The ceiling sits well above that noise and far below the old cost.
+const maxVerifyAllocs = 300
+
 func TestSchedulingAllocBudget(t *testing.T) {
 	w := workload.ByName("li")
 	if w == nil {
@@ -127,5 +136,37 @@ func TestDupSchedulingAllocBudget(t *testing.T) {
 	if got > maxDupPipelineAllocs {
 		t.Errorf("RunProgram(li, dup+profile) allocates %.0f per run, budget %d — see file comment before raising",
 			got, maxDupPipelineAllocs)
+	}
+}
+
+// TestVerifyAllocBudget pins the independent verifier's own cost on
+// the full li pipeline, as the difference between a run with
+// Options.Verify and one without.
+func TestVerifyAllocBudget(t *testing.T) {
+	w := workload.ByName("li")
+	if w == nil {
+		t.Fatal("li workload missing")
+	}
+	measure := func(verify bool) float64 {
+		prog, err := w.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+		opts.Parallelism = 1
+		opts.Verify = verify
+		return testing.AllocsPerRun(50, func() {
+			if _, err := xform.RunProgram(prog, opts, xform.DefaultConfig()); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	measure(true) // warm the process-wide pools both measurements share
+	off, on := measure(false), measure(true)
+	got := on - off
+	t.Logf("RunProgram(li) verifier: %.0f allocs/run (%.0f on - %.0f off, budget %d)", got, on, off, maxVerifyAllocs)
+	if got > maxVerifyAllocs {
+		t.Errorf("Options.Verify adds %.0f allocs per RunProgram(li), budget %d — see file comment before raising",
+			got, maxVerifyAllocs)
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"gsched/internal/machine"
 	"gsched/internal/pdg"
 	"gsched/internal/sim"
+	"gsched/internal/verify"
 	"gsched/internal/workload"
 	"gsched/internal/xform"
 )
@@ -321,5 +322,42 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.StopTimer()
 	if b.Elapsed() > 0 {
 		b.ReportMetric(float64(instrs)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	}
+}
+
+// BenchmarkVerifyCheck measures the independent verifier alone: one
+// Capture of each proxy's unscheduled functions plus one Check of the
+// speculatively scheduled result. Two compiles of the same source carry
+// the same instruction IDs, so the unscheduled copy stands in for the
+// pre-schedule layout on every iteration.
+func BenchmarkVerifyCheck(b *testing.B) {
+	mach := machine.RS6K()
+	for _, w := range workload.All() {
+		b.Run(w.Name, func(b *testing.B) {
+			orig, err := w.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			sched, err := w.Compile()
+			if err != nil {
+				b.Fatal(err)
+			}
+			opts := core.Defaults(mach, core.LevelSpeculative)
+			opts.Rename = false // keep the two copies' registers equal
+			opts.Parallelism = 1
+			if _, err := core.ScheduleProgram(sched, opts); err != nil {
+				b.Fatal(err)
+			}
+			rules := opts.VerifyRules()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for fi, f := range orig.Funcs {
+					if err := verify.Check(verify.Capture(f), sched.Funcs[fi], rules); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }

@@ -28,11 +28,12 @@ import (
 
 	"gsched"
 	"gsched/internal/cfg"
+	"gsched/internal/machine"
 )
 
 var (
 	level    = flag.String("level", "speculative", "scheduling level: none, useful, speculative, dup, optimal")
-	machineF = flag.String("machine", "rs6k", "machine model: rs6k, or NxM for N fixed and M branch units")
+	machineF = flag.String("machine", "rs6k", "machine model: rs6k, scalar, wide, or NxM for N fixed and M branch units")
 	pipeline = flag.Bool("pipeline", true, "run the full §6 pipeline (unroll/rotate) instead of plain scheduling")
 	printAsm = flag.Bool("print", false, "print the scheduled program as assembly")
 	run      = flag.String("run", "", "run this function after scheduling")
@@ -114,7 +115,7 @@ func realMain(path string) error {
 		return fmt.Errorf("unknown language %q", l)
 	}
 
-	mach, err := parseMachine(*machineF)
+	mach, err := machine.ByName(*machineF)
 	if err != nil {
 		return err
 	}
@@ -285,19 +286,4 @@ func parseLevel(s string) (gsched.Level, error) {
 		return gsched.LevelOptimal, nil
 	}
 	return 0, fmt.Errorf("unknown level %q", s)
-}
-
-func parseMachine(s string) (*gsched.Machine, error) {
-	if s == "rs6k" {
-		return gsched.RS6K(), nil
-	}
-	parts := strings.Split(s, "x")
-	if len(parts) == 2 {
-		nf, err1 := strconv.Atoi(parts[0])
-		nb, err2 := strconv.Atoi(parts[1])
-		if err1 == nil && err2 == nil && nf > 0 && nb > 0 {
-			return gsched.Superscalar(nf, nb), nil
-		}
-	}
-	return nil, fmt.Errorf("unknown machine %q (want rs6k or NxM)", s)
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"gsched"
@@ -24,18 +25,25 @@ func TestParseLevel(t *testing.T) {
 	}
 }
 
+// TestParseMachine: -machine takes every name of machine.ByName's
+// table, the server's too, and rejects the rest.
 func TestParseMachine(t *testing.T) {
-	m, err := parseMachine("rs6k")
-	if err != nil || m.NumUnits[0] != 1 {
-		t.Errorf("rs6k: %v, %v", m, err)
+	path := filepath.Join(t.TempDir(), "prog.c")
+	if err := os.WriteFile(path, []byte(`int f(int a) { return a * 7; }`), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	m, err = parseMachine("4x2")
-	if err != nil || m.NumUnits[0] != 4 {
-		t.Errorf("4x2: %v, %v", m, err)
+	*level, *pipeline, *run, *dot, *lang = "speculative", true, "", "", ""
+	defer func() { *machineF = "rs6k" }()
+	for _, name := range []string{"rs6k", "scalar", "wide", "4x2"} {
+		*machineF = name
+		if err := realMain(path); err != nil {
+			t.Errorf("-machine %s: %v", name, err)
+		}
 	}
-	for _, bad := range []string{"", "x", "0x1", "axb", "3"} {
-		if _, err := parseMachine(bad); err == nil {
-			t.Errorf("parseMachine(%q) accepted", bad)
+	for _, bad := range []string{"", "x", "0x1", "axb", "3", "RS6K"} {
+		*machineF = bad
+		if err := realMain(path); err == nil || !strings.Contains(err.Error(), "unknown machine") {
+			t.Errorf("-machine %q: got %v, want an unknown machine error", bad, err)
 		}
 	}
 }

@@ -13,7 +13,9 @@ package core
 
 import (
 	"runtime"
+	"time"
 
+	"gsched/internal/ir"
 	"gsched/internal/machine"
 	"gsched/internal/policy"
 	"gsched/internal/profile"
@@ -147,8 +149,9 @@ type Options struct {
 	// result with the independent legality verifier (internal/verify):
 	// instruction accounting, dependence order on every path, and the
 	// §3 motion rules. Scheduling fails with a precise diagnostic if
-	// any check trips. Intended for debugging and property tests; adds
-	// one snapshot plus an O(instructions²) analysis per function.
+	// any check trips. Each scheduling pass adds one snapshot and one
+	// check per function, timed together as one PhaseVerify run (cost
+	// model in DESIGN §7).
 	Verify bool
 
 	// Trace, when non-nil, accumulates wall-clock time per scheduling
@@ -174,6 +177,37 @@ func (o *Options) VerifyRules() verify.Rules {
 		r.AllowDuplication = o.Duplicate
 	}
 	return r
+}
+
+// VerifyBracket is one verifier bracket around a scheduling pass: the
+// snapshot taken before the pass and the time taking it cost. The
+// Capture and the Check together count as one PhaseVerify run.
+type VerifyBracket struct {
+	snap  *verify.Snapshot
+	spent time.Duration
+}
+
+// BeginVerify snapshots f when o.Verify is set. Otherwise the bracket
+// is empty and its Check does nothing.
+func (o *Options) BeginVerify(f *ir.Func) VerifyBracket {
+	if !o.Verify {
+		return VerifyBracket{}
+	}
+	start := time.Now()
+	snap := verify.Capture(f)
+	return VerifyBracket{snap: snap, spent: time.Since(start)}
+}
+
+// Check verifies f against the bracket's snapshot under rules and
+// records the whole bracket as one PhaseVerify run on trace.
+func (vb VerifyBracket) Check(f *ir.Func, rules verify.Rules, trace *Trace) error {
+	if vb.snap == nil {
+		return nil
+	}
+	start := time.Now()
+	err := verify.Check(vb.snap, f, rules)
+	trace.Observe(PhaseVerify, vb.spent+time.Since(start))
+	return err
 }
 
 // Defaults returns the configuration used for the paper's experiments at

@@ -8,7 +8,6 @@ import (
 	"gsched/internal/cfg"
 	"gsched/internal/ir"
 	"gsched/internal/rename"
-	"gsched/internal/verify"
 )
 
 // ScheduleFunc runs the full scheduling pipeline on one function:
@@ -42,10 +41,7 @@ func ScheduleFuncCtx(ctx context.Context, f *ir.Func, opts Options) (Stats, erro
 		done()
 	}
 
-	var snap *verify.Snapshot
-	if opts.Verify {
-		snap = verify.Capture(f)
-	}
+	vb := opts.BeginVerify(f)
 
 	if opts.Level > LevelNone {
 		li := cfg.FindLoops(g)
@@ -79,13 +75,8 @@ func ScheduleFuncCtx(ctx context.Context, f *ir.Func, opts Options) (Stats, erro
 		}
 	}
 
-	if opts.Verify {
-		done := opts.Trace.TimePhase(PhaseVerify)
-		err := verify.Check(snap, f, opts.VerifyRules())
-		done()
-		if err != nil {
-			return st, fmt.Errorf("core: illegal schedule: %w", err)
-		}
+	if err := vb.Check(f, opts.VerifyRules(), opts.Trace); err != nil {
+		return st, fmt.Errorf("core: illegal schedule: %w", err)
 	}
 	return st, nil
 }

@@ -9,29 +9,28 @@ package ir
 //   - no terminator: the next block in layout order.
 //
 // The fallthrough-first convention matches the reading order of the code.
-func Succs(f *Func, b *Block) []*Block {
+func Succs(f *Func, b *Block) []*Block { return AppendSuccs(nil, f, b) }
+
+// AppendSuccs appends Succs(f, b) to dst and returns it, so a caller
+// walking every block can reuse one buffer.
+func AppendSuccs(dst []*Block, f *Func, b *Block) []*Block {
 	t := b.Terminator()
 	switch {
 	case t == nil:
 		if b.Index+1 < len(f.Blocks) {
-			return []*Block{f.Blocks[b.Index+1]}
+			dst = append(dst, f.Blocks[b.Index+1])
 		}
-		return nil
 	case t.Op == OpB:
 		if tgt := f.BlockByLabel(t.Target); tgt != nil {
-			return []*Block{tgt}
+			dst = append(dst, tgt)
 		}
-		return nil
 	case t.Op == OpBC || t.Op == OpBCT:
-		var out []*Block
 		if b.Index+1 < len(f.Blocks) {
-			out = append(out, f.Blocks[b.Index+1])
+			dst = append(dst, f.Blocks[b.Index+1])
 		}
 		if tgt := f.BlockByLabel(t.Target); tgt != nil {
-			out = append(out, tgt)
+			dst = append(dst, tgt)
 		}
-		return out
-	default: // OpRet
-		return nil
 	}
+	return dst
 }

@@ -244,3 +244,32 @@ func TestRandomRedrawsUnissuableMixes(t *testing.T) {
 		t.Error("no accepted machine in [0,64) touches a 1-unit boundary; the re-draw looks like it clamps")
 	}
 }
+
+// TestByName covers every form of the machine name table and a bad
+// name of each shape.
+func TestByName(t *testing.T) {
+	for _, tc := range []struct {
+		name        string
+		want        *Desc
+		fixed, bran int
+	}{
+		{"rs6k", RS6K(), 1, 1},
+		{"scalar", Scalar(), 1, 1},
+		{"wide", Wide(), 64, 64},
+		{"4x2", Superscalar(4, 2), 4, 2},
+	} {
+		d, err := ByName(tc.name)
+		if err != nil {
+			t.Errorf("ByName(%q): %v", tc.name, err)
+			continue
+		}
+		if d.Canonical() != tc.want.Canonical() || d.NumUnits[Fixed] != tc.fixed || d.NumUnits[Branch] != tc.bran {
+			t.Errorf("ByName(%q) = %v, want %v", tc.name, d, tc.want)
+		}
+	}
+	for _, bad := range []string{"", "bogus", "RS6K", "x", "0x1", "2x0", "-1x2", "axb", "3", "4x2x1"} {
+		if d, err := ByName(bad); err == nil {
+			t.Errorf("ByName(%q) accepted: %v", bad, d)
+		}
+	}
+}

@@ -2,13 +2,13 @@ package serve
 
 import (
 	"bytes"
+	"cmp"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 
@@ -327,7 +327,11 @@ func resolveMachine(raw json.RawMessage) (*machine.Desc, error) {
 	}
 	var name string
 	if err := json.Unmarshal(raw, &name); err == nil {
-		return machineByName(name)
+		m, err := machine.ByName(cmp.Or(name, "rs6k"))
+		if err != nil {
+			return nil, badf("%v, or a machine object", err)
+		}
+		return m, nil
 	}
 	var d machine.Desc
 	if err := json.Unmarshal(raw, &d); err != nil {
@@ -340,25 +344,6 @@ func resolveMachine(raw json.RawMessage) (*machine.Desc, error) {
 		return nil, badf("machine: %v", err)
 	}
 	return &d, nil
-}
-
-func machineByName(name string) (*machine.Desc, error) {
-	switch name {
-	case "", "rs6k":
-		return machine.RS6K(), nil
-	case "scalar":
-		return machine.Scalar(), nil
-	case "wide":
-		return machine.Wide(), nil
-	}
-	if nf, nb, ok := strings.Cut(name, "x"); ok {
-		f, err1 := strconv.Atoi(nf)
-		b, err2 := strconv.Atoi(nb)
-		if err1 == nil && err2 == nil && f > 0 && b > 0 {
-			return machine.Superscalar(f, b), nil
-		}
-	}
-	return nil, badf("unknown machine %q (want rs6k, scalar, wide, NxM, or a machine object)", name)
 }
 
 // contentKey hashes everything that can change the response body:

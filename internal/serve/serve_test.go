@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"gsched/internal/asm"
 	"gsched/internal/core"
@@ -178,8 +179,18 @@ func TestSaturationAnswers503(t *testing.T) {
 	}
 	<-entered // the first request holds the only worker
 
-	// Admission slots are now exhausted once a second request queues.
-	// Poll until the saturated state is observable, then assert.
+	// Admission slots are exhausted once the second request queues.
+	// Wait for that before probing: a probe admitted ahead of it would
+	// take the queue slot itself and wait out the request timeout.
+	full := int64(s.cfg.Workers + s.cfg.QueueDepth)
+	for deadline := time.Now().Add(10 * time.Second); s.queued.Load() < full; {
+		if time.Now().After(deadline) {
+			close(release)
+			wg.Wait()
+			t.Fatalf("second request never queued: %d of %d admission slots held", s.queued.Load(), full)
+		}
+		time.Sleep(time.Millisecond)
+	}
 	var saturated *http.Response
 	for tries := 0; tries < 100; tries++ {
 		resp, _ := post(t, ts, &Request{Source: "int main() { return 42; }"})

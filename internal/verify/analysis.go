@@ -1,9 +1,8 @@
 package verify
 
 import (
-	"fmt"
-	"sort"
-	"strings"
+	"math/bits"
+	"slices"
 
 	"gsched/internal/ir"
 )
@@ -15,17 +14,35 @@ import (
 // scheduler uses), control dependences are walked off the postdominance
 // sets, and loop membership comes from natural-loop construction. A bug
 // in the scheduler's analyses therefore cannot hide the same bug here.
+//
+// Every table lives in a slice the next check reuses (see grow), and
+// every adjacency relation is a counted carve (rel), so a check in a
+// steady stream of them allocates almost nothing.
+
+// grow returns s resized to n zeroed elements, reusing its backing
+// array when that is large enough.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
 
 // bitset is a dense set of block numbers.
 type bitset []uint64
 
-func newBitset(n int) bitset        { return make(bitset, (n+63)/64) }
-func (b bitset) has(i int) bool     { return b[i/64]&(1<<(uint(i)%64)) != 0 }
-func (b bitset) set(i int)          { b[i/64] |= 1 << (uint(i) % 64) }
-func (b bitset) clone() bitset      { return append(bitset(nil), b...) }
+func (b bitset) has(i int) bool { return b[i/64]&(1<<(uint(i)%64)) != 0 }
+func (b bitset) set(i int)      { b[i/64] |= 1 << (uint(i) % 64) }
+
+// setAll adds every element below n.
 func (b bitset) setAll(n int) {
-	for i := 0; i < n; i++ {
-		b.set(i)
+	for w := 0; w < n/64; w++ {
+		b[w] = ^uint64(0)
+	}
+	if r := n % 64; r != 0 {
+		b[n/64] |= 1<<uint(r) - 1
 	}
 }
 
@@ -33,11 +50,8 @@ func (b bitset) setAll(n int) {
 func (b bitset) intersect(o bitset) bool {
 	changed := false
 	for w := range b {
-		nv := b[w] & o[w]
-		if nv != b[w] {
-			b[w] = nv
-			changed = true
-		}
+		changed = changed || b[w]&o[w] != b[w]
+		b[w] &= o[w]
 	}
 	return changed
 }
@@ -46,13 +60,69 @@ func (b bitset) intersect(o bitset) bool {
 func (b bitset) union(o bitset) bool {
 	changed := false
 	for w := range b {
-		nv := b[w] | o[w]
-		if nv != b[w] {
-			b[w] = nv
-			changed = true
-		}
+		changed = changed || b[w]|o[w] != b[w]
+		b[w] |= o[w]
 	}
 	return changed
+}
+
+// bitMatrix is one bitset row per block, carved from one array.
+type bitMatrix struct {
+	words []uint64
+	w     int
+}
+
+func (m *bitMatrix) reset(rows, width int) {
+	m.w = (width + 63) / 64
+	m.words = grow(m.words, rows*m.w)
+}
+
+func (m *bitMatrix) row(i int) bitset { return m.words[i*m.w : (i+1)*m.w] }
+
+// rel is a relation stored as a counted carve: row r holds
+// vals[start[r]:start[r+1]].
+type rel[V any] struct {
+	start []int32
+	vals  []V
+}
+
+func (r *rel[V]) row(i int) []V { return r.vals[r.start[i]:r.start[i+1]] }
+
+// entry is one (row, value) pair of a relation under construction.
+type entry[V any] struct {
+	row int
+	v   V
+}
+
+// fill rebuilds r over n rows from es, each row in entry order. With
+// row i's count in start[i+2], the prefix sum leaves start[i+1] at row
+// i's first slot, and filling advances it to row i's end.
+func fill[V any](r *rel[V], n int, es []entry[V]) {
+	r.start = grow(r.start, n+2)
+	for _, e := range es {
+		r.start[e.row+2]++
+	}
+	for i := 2; i < n+2; i++ {
+		r.start[i] += r.start[i-1]
+	}
+	r.vals = grow(r.vals, len(es))
+	for _, e := range es {
+		r.vals[r.start[e.row+1]] = e.v
+		r.start[e.row+1]++
+	}
+	r.start = r.start[:n+1]
+}
+
+// edge is one edge of a graph over blocks: row from, value to.
+type edge = entry[int]
+
+// fillGraph fills succs from es, then reverses es in place to fill preds.
+func fillGraph(succs, preds *rel[int], n int, es []edge) {
+	fill(succs, n, es)
+	for i, e := range es {
+		es[i] = edge{e.v, e.row}
+	}
+	fill(preds, n, es)
 }
 
 // ctrlEdge identifies a controlling branch edge: control leaves block
@@ -62,107 +132,114 @@ type ctrlEdge struct{ From, To int }
 // analysis bundles the verifier's independently derived control-flow
 // facts about one function.
 type analysis struct {
-	n      int
-	succs  [][]int // full control flow graph
-	preds  [][]int
-	reach  bitset // blocks reachable from entry
+	n     int
+	succs rel[int] // full control flow graph
+	preds rel[int]
+	reach bitset // blocks reachable from entry
 
-	fsuccs [][]int // forward graph: back edges removed
-	fpreds [][]int
+	fsuccs rel[int] // forward graph: back edges removed
+	fpreds rel[int]
 	cyclic bool // forward graph still cyclic (irreducible flow graph)
 
-	dom  []bitset // dom[b]: blocks dominating b (reflexive); nil rows for unreachable b
-	pdom []bitset // pdom[b]: blocks postdominating b on the forward graph (reflexive)
-	ipdom []int   // immediate postdominator, vexit for exit blocks, -1 when unknown
-	vexit int     // virtual exit node number (== n)
+	dom    bitMatrix // row b: blocks dominating reachable b (reflexive)
+	freach bitMatrix // row u: blocks reachable from reachable u in the forward graph (reflexive)
 
-	freach []bitset // freach[u]: blocks reachable from u in the forward graph (reflexive)
+	// The facts only motion classification reads, computed on the
+	// first cross-block motion (see motionFacts).
+	ready  bool
+	pdom   bitMatrix     // row b: blocks postdominating reachable b on the forward graph (reflexive)
+	ipdom  []int         // immediate postdominator, vexit for exit blocks, -1 when unknown
+	vexit  int           // virtual exit node number (== n)
+	cdep   rel[ctrlEdge] // forward control dependences of each block, sorted
+	cdSucc rel[int]      // blocks directly control dependent on a block
+	loops  rel[int]      // sorted natural-loop headers containing each block
 
-	cdep   [][]ctrlEdge // forward control dependences of each block, sorted
-	cdKey  []string     // canonical rendering of cdep, for equivalence
-	cdSucc [][]int      // blocks directly control dependent on a block
-
-	loopKey []string // canonical set of natural-loop headers containing each block
+	// Scratch.
+	tmp, seen   bitset
+	edges       []edge
+	cds         []entry[ctrlEdge]
+	ints, stack []int
 }
 
-// analyze computes every fact from the current shape of f. Scheduling
-// moves instructions but never blocks or terminators, so the result is
-// valid for both the pre- and post-schedule program.
-func analyze(f *ir.Func) *analysis {
+// analyze computes the facts every check needs from the current shape
+// of f. Scheduling moves instructions but never blocks or terminators,
+// so the result is valid for both the pre- and post-schedule program.
+func (an *analysis) analyze(f *ir.Func) {
 	n := len(f.Blocks)
-	an := &analysis{n: n, vexit: n}
-	an.succs = make([][]int, n)
-	an.preds = make([][]int, n)
+	an.n, an.vexit, an.ready = n, n, false
+	an.edges = an.edges[:0]
+	var buf [2]*ir.Block
 	for i, b := range f.Blocks {
-		for _, s := range ir.Succs(f, b) {
-			an.succs[i] = append(an.succs[i], s.Index)
-			an.preds[s.Index] = append(an.preds[s.Index], i)
+		for _, s := range ir.AppendSuccs(buf[:0], f, b) {
+			an.edges = append(an.edges, edge{i, s.Index})
 		}
 	}
+	fillGraph(&an.succs, &an.preds, n, an.edges)
 
 	// Reachability from the entry block.
-	an.reach = newBitset(n)
-	stack := []int{0}
+	words := (n + 1 + 63) / 64 // room for the virtual exit
+	an.reach = grow(an.reach, words)
+	an.tmp = grow(an.tmp, words)
+	an.seen = grow(an.seen, words)
+	an.stack = append(an.stack[:0], 0)
 	an.reach.set(0)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, v := range an.succs[u] {
+	for len(an.stack) > 0 {
+		u := an.stack[len(an.stack)-1]
+		an.stack = an.stack[:len(an.stack)-1]
+		for _, v := range an.succs.row(u) {
 			if !an.reach.has(v) {
 				an.reach.set(v)
-				stack = append(stack, v)
+				an.stack = append(an.stack, v)
 			}
 		}
 	}
 
 	an.computeDominators()
-	an.cutBackEdges()
-	an.computeForwardReach()
+	an.computeForwardGraph()
+}
+
+// motionFacts computes postdominators, control dependences and loops,
+// once per check, for the first motion that needs them.
+func (an *analysis) motionFacts() {
+	if an.ready {
+		return
+	}
+	an.ready = true
 	if !an.cyclic {
 		an.computePostDominators()
 		an.computeControlDeps()
 	}
 	an.computeLoops()
-	return an
 }
 
 // computeDominators solves dom[b] = {b} ∪ ∩ dom[preds] by iteration over
 // the full flow graph.
 func (an *analysis) computeDominators() {
-	an.dom = make([]bitset, an.n)
-	full := newBitset(an.n)
-	full.setAll(an.n)
-	for b := 0; b < an.n; b++ {
-		if !an.reach.has(b) {
-			continue
-		}
-		if b == 0 {
-			an.dom[b] = newBitset(an.n)
-			an.dom[b].set(0)
-		} else {
-			an.dom[b] = full.clone()
+	an.dom.reset(an.n, an.n)
+	for b := 1; b < an.n; b++ {
+		if an.reach.has(b) {
+			an.dom.row(b).setAll(an.n)
 		}
 	}
+	if an.n > 0 {
+		an.dom.row(0).set(0)
+	}
+	nv := an.tmp[:an.dom.w]
 	for changed := true; changed; {
 		changed = false
 		for b := 1; b < an.n; b++ {
-			if an.dom[b] == nil {
+			if !an.reach.has(b) {
 				continue
 			}
-			nv := full.clone()
-			any := false
-			for _, p := range an.preds[b] {
-				if an.dom[p] == nil {
-					continue
+			clear(nv)
+			nv.setAll(an.n)
+			for _, p := range an.preds.row(b) { // one is reachable, as b is
+				if an.reach.has(p) {
+					nv.intersect(an.dom.row(p))
 				}
-				nv.intersect(an.dom[p])
-				any = true
-			}
-			if !any {
-				continue
 			}
 			nv.set(b)
-			if an.dom[b].intersect(nv) {
+			if an.dom.row(b).intersect(nv) {
 				changed = true
 			}
 		}
@@ -172,99 +249,61 @@ func (an *analysis) computeDominators() {
 // dominates reports whether a dominates b (reflexively). Unreachable
 // blocks dominate and are dominated by nothing.
 func (an *analysis) dominates(a, b int) bool {
-	return an.dom[b] != nil && an.dom[a] != nil && an.dom[b].has(a)
+	return an.reach.has(a) && an.reach.has(b) && an.dom.row(b).has(a)
 }
 
-// cutBackEdges removes every edge u→v with v dominating u, producing the
-// forward graph, and records whether a cycle survives (irreducible flow).
-func (an *analysis) cutBackEdges() {
-	an.fsuccs = make([][]int, an.n)
-	an.fpreds = make([][]int, an.n)
+// computeForwardGraph removes every edge u→v with v dominating u,
+// producing the forward graph, and fills freach by reverse-topological
+// accumulation. It records whether the forward graph is still cyclic
+// (an irreducible flow graph): a DFS that meets a block still on its
+// stack has found a cycle.
+func (an *analysis) computeForwardGraph() {
+	an.edges = an.edges[:0]
 	for u := 0; u < an.n; u++ {
-		if !an.reach.has(u) {
-			continue
-		}
-		for _, v := range an.succs[u] {
-			if an.dominates(v, u) {
-				continue // back edge
-			}
-			an.fsuccs[u] = append(an.fsuccs[u], v)
-			an.fpreds[v] = append(an.fpreds[v], u)
-		}
-	}
-	// Kahn's algorithm detects leftover cycles.
-	indeg := make([]int, an.n)
-	members := 0
-	for u := 0; u < an.n; u++ {
-		if !an.reach.has(u) {
-			continue
-		}
-		members++
-		for _, v := range an.fsuccs[u] {
-			indeg[v]++
-		}
-	}
-	var q []int
-	for u := 0; u < an.n; u++ {
-		if an.reach.has(u) && indeg[u] == 0 {
-			q = append(q, u)
-		}
-	}
-	seen := 0
-	for len(q) > 0 {
-		u := q[0]
-		q = q[1:]
-		seen++
-		for _, v := range an.fsuccs[u] {
-			if indeg[v]--; indeg[v] == 0 {
-				q = append(q, v)
+		for _, v := range an.succs.row(u) {
+			if an.reach.has(u) && !an.dominates(v, u) { // else unreachable or a back edge
+				an.edges = append(an.edges, edge{u, v})
 			}
 		}
 	}
-	an.cyclic = seen != members
-}
-
-// computeForwardReach fills freach by reverse-topological accumulation
-// (or per-node DFS if the forward graph is cyclic).
-func (an *analysis) computeForwardReach() {
-	an.freach = make([]bitset, an.n)
-	var dfs func(u int) bitset
-	memoing := make([]bool, an.n)
-	dfs = func(u int) bitset {
-		if an.freach[u] != nil {
-			return an.freach[u]
-		}
-		if memoing[u] { // cycle: fall back to iterative closure below
-			return nil
-		}
-		memoing[u] = true
-		r := newBitset(an.n)
+	fillGraph(&an.fsuccs, &an.fpreds, an.n, an.edges)
+	an.freach.reset(an.n, an.n)
+	an.cyclic = false
+	state := grow(an.ints, an.n) // 0 unvisited, 1 on the DFS stack, 2 done
+	var dfs func(u int)
+	dfs = func(u int) {
+		state[u] = 1
+		r := an.freach.row(u)
 		r.set(u)
-		for _, v := range an.fsuccs[u] {
-			if rv := dfs(v); rv != nil {
-				r.union(rv)
-			} else {
+		for _, v := range an.fsuccs.row(u) {
+			if state[v] == 0 {
+				dfs(v)
+			}
+			if state[v] == 1 { // cycle: closed iteratively below
+				an.cyclic = true
 				r.set(v)
+			} else {
+				r.union(an.freach.row(v))
 			}
 		}
-		an.freach[u] = r
-		return r
+		state[u] = 2
 	}
 	for u := 0; u < an.n; u++ {
-		if an.reach.has(u) {
+		if an.reach.has(u) && state[u] == 0 {
 			dfs(u)
 		}
 	}
+	an.ints = state
 	if an.cyclic {
 		// Close transitively until stable (irreducible graphs only).
 		for changed := true; changed; {
 			changed = false
 			for u := 0; u < an.n; u++ {
-				if an.freach[u] == nil {
+				if !an.reach.has(u) {
 					continue
 				}
-				for _, v := range an.fsuccs[u] {
-					if an.freach[v] != nil && an.freach[u].union(an.freach[v]) {
+				for _, v := range an.fsuccs.row(u) {
+					if an.freach.row(u).union(an.freach.row(v)) {
 						changed = true
 					}
 				}
@@ -276,7 +315,7 @@ func (an *analysis) computeForwardReach() {
 // forwardReach reports whether v is reachable from u (reflexively) in
 // the forward graph.
 func (an *analysis) forwardReach(u, v int) bool {
-	return an.freach[u] != nil && an.freach[u].has(v)
+	return an.reach.has(u) && an.freach.row(u).has(v)
 }
 
 // computePostDominators runs the same set-iteration backwards over the
@@ -284,90 +323,66 @@ func (an *analysis) forwardReach(u, v int) bool {
 // block flows into.
 func (an *analysis) computePostDominators() {
 	nv := an.n + 1
-	an.pdom = make([]bitset, nv)
-	full := newBitset(nv)
-	full.setAll(nv)
-	exitEdge := make([]bool, an.n)
-	for b := 0; b < an.n; b++ {
-		if an.reach.has(b) && len(an.fsuccs[b]) == 0 {
-			exitEdge[b] = true
-		}
-	}
-	an.pdom[an.vexit] = newBitset(nv)
-	an.pdom[an.vexit].set(an.vexit)
+	an.pdom.reset(nv, nv)
+	an.pdom.row(an.vexit).set(an.vexit)
 	for b := 0; b < an.n; b++ {
 		if an.reach.has(b) {
-			an.pdom[b] = full.clone()
+			an.pdom.row(b).setAll(nv)
 		}
 	}
+	acc := an.tmp[:an.pdom.w]
 	for changed := true; changed; {
 		changed = false
 		for b := an.n - 1; b >= 0; b-- {
-			if an.pdom[b] == nil {
+			if !an.reach.has(b) {
 				continue
 			}
-			acc := full.clone()
-			any := false
-			for _, s := range an.fsuccs[b] {
-				if an.pdom[s] == nil {
-					continue
-				}
-				acc.intersect(an.pdom[s])
-				any = true
+			clear(acc)
+			acc.setAll(nv)
+			for _, s := range an.fsuccs.row(b) {
+				acc.intersect(an.pdom.row(s)) // reachable, as b is
 			}
-			if exitEdge[b] {
-				acc.intersect(an.pdom[an.vexit])
-				any = true
-			}
-			if !any {
-				continue
+			if len(an.fsuccs.row(b)) == 0 { // exit edge to the virtual exit
+				acc.intersect(an.pdom.row(an.vexit))
 			}
 			acc.set(b)
-			if an.pdom[b].intersect(acc) {
+			if an.pdom.row(b).intersect(acc) {
 				changed = true
 			}
 		}
 	}
 	// Immediate postdominators via set sizes: ipdom(b) is the strict
 	// postdominator of b with the largest postdominance set.
-	count := func(s bitset) int {
-		c := 0
-		for _, w := range s {
-			for ; w != 0; w &= w - 1 {
-				c++
-			}
+	size := grow(an.stack, nv)
+	for c := 0; c < an.n; c++ {
+		for _, w := range an.pdom.row(c) {
+			size[c] += bits.OnesCount64(w)
 		}
-		return c
 	}
-	an.ipdom = make([]int, an.n)
+	size[an.vexit] = 1
+	an.ipdom = grow(an.ipdom, an.n)
 	for b := 0; b < an.n; b++ {
 		an.ipdom[b] = -1
-		if an.pdom[b] == nil {
+		if !an.reach.has(b) {
 			continue
 		}
-		best, bestCount := -1, -1
-		for c := 0; c <= an.n; c++ {
-			if c == b || !an.pdom[b].has(c) {
-				continue
-			}
-			var sz int
-			if c == an.vexit {
-				sz = 1
-			} else {
-				sz = count(an.pdom[c])
-			}
-			if sz > bestCount {
-				best, bestCount = c, sz
+		bestCount := -1
+		for w, word := range an.pdom.row(b) { // ascending members c
+			for ; word != 0; word &= word - 1 {
+				c := w*64 + bits.TrailingZeros64(word)
+				if c != b && size[c] > bestCount {
+					an.ipdom[b], bestCount = c, size[c]
+				}
 			}
 		}
-		an.ipdom[b] = best
 	}
+	an.stack = size
 }
 
 // postDominates reports whether a postdominates b (reflexively) on the
 // forward graph.
 func (an *analysis) postDominates(a, b int) bool {
-	return an.pdom != nil && an.pdom[b] != nil && an.pdom[b].has(a)
+	return !an.cyclic && an.reach.has(b) && an.pdom.row(b).has(a)
 }
 
 // computeControlDeps derives forward control dependences per
@@ -375,124 +390,104 @@ func (an *analysis) postDominates(a, b int) bool {
 // postdominating u, every block on the postdominator chain from v up to
 // (exclusive) ipdom(u) is control dependent on that edge.
 func (an *analysis) computeControlDeps() {
-	an.cdep = make([][]ctrlEdge, an.n)
+	an.cds = an.cds[:0]
 	for u := 0; u < an.n; u++ {
 		if !an.reach.has(u) {
 			continue
 		}
-		seenEdge := map[int]bool{}
-		for _, v := range an.fsuccs[u] {
-			if seenEdge[v] {
-				continue
-			}
-			seenEdge[v] = true
-			if an.postDominates(v, u) {
+		fs := an.fsuccs.row(u)
+		for k, v := range fs {
+			if slices.Contains(fs[:k], v) || an.postDominates(v, u) {
 				continue
 			}
 			stop := an.ipdom[u]
 			for x := v; x != stop && x != an.vexit && x >= 0; x = an.ipdom[x] {
-				an.cdep[x] = append(an.cdep[x], ctrlEdge{From: u, To: v})
+				an.cds = append(an.cds, entry[ctrlEdge]{x, ctrlEdge{From: u, To: v}})
 			}
 		}
 	}
-	an.cdKey = make([]string, an.n)
-	an.cdSucc = make([][]int, an.n)
+	fill(&an.cdep, an.n, an.cds)
+	an.edges = an.edges[:0]
 	for b := 0; b < an.n; b++ {
-		deps := an.cdep[b]
-		sort.Slice(deps, func(i, j int) bool {
-			if deps[i].From != deps[j].From {
-				return deps[i].From < deps[j].From
+		deps := an.cdep.row(b)
+		slices.SortFunc(deps, func(x, y ctrlEdge) int {
+			if x.From != y.From {
+				return x.From - y.From
 			}
-			return deps[i].To < deps[j].To
+			return x.To - y.To
 		})
-		var sb strings.Builder
-		for _, d := range deps {
-			fmt.Fprintf(&sb, "%d>%d;", d.From, d.To)
-		}
-		an.cdKey[b] = sb.String()
-		for _, d := range deps {
-			an.cdSucc[d.From] = append(an.cdSucc[d.From], b)
-		}
-	}
-	for u := 0; u < an.n; u++ {
-		s := an.cdSucc[u]
-		sort.Ints(s)
-		out := s[:0]
-		for i, v := range s {
-			if i == 0 || v != s[i-1] {
-				out = append(out, v)
+		for i, d := range deps {
+			if i == 0 || d.From != deps[i-1].From {
+				an.edges = append(an.edges, edge{d.From, b})
 			}
 		}
-		an.cdSucc[u] = out
 	}
+	// The entries come in block order, so every row comes out sorted
+	// and, with repeated From edges dropped above, free of duplicates.
+	fill(&an.cdSucc, an.n, an.edges)
 }
 
-// computeLoops builds natural loops from the back edges and renders each
-// block's set of containing loop headers as a canonical key. Instructions
-// may never change their loop membership (region boundaries, §6).
+// sameCD reports whether blocks a and b have identical forward control
+// dependences.
+func (an *analysis) sameCD(a, b int) bool {
+	return slices.Equal(an.cdep.row(a), an.cdep.row(b))
+}
+
+// computeLoops builds natural loops from the back edges and records each
+// block's sorted set of containing loop headers. Instructions may never
+// change their loop membership (region boundaries, §6).
 func (an *analysis) computeLoops() {
-	headers := make([]map[int]bool, an.n)
-	addLoop := func(u, v int) { // back edge u→v, header v
-		if headers[v] == nil {
-			headers[v] = map[int]bool{}
-		}
-		headers[v][v] = true
-		// Blocks reaching u without passing v belong to the loop. The
-		// header is never walked: for a self back edge (u == v) the loop
-		// is exactly {v}, and walking v's predecessors would flood
-		// everything upstream of the loop into it.
-		inLoop := map[int]bool{v: true}
-		var stack []int
-		if !inLoop[u] {
-			inLoop[u] = true
-			if headers[u] == nil {
-				headers[u] = map[int]bool{}
-			}
-			headers[u][v] = true
-			stack = append(stack, u)
-		}
-		for len(stack) > 0 {
-			x := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			for _, p := range an.preds[x] {
-				if inLoop[p] || !an.reach.has(p) {
-					continue
-				}
-				inLoop[p] = true
-				if headers[p] == nil {
-					headers[p] = map[int]bool{}
-				}
-				headers[p][v] = true
-				stack = append(stack, p)
-			}
-		}
-	}
+	members := an.edges[:0] // (block, header) pairs
+	inLoop := an.seen
 	for u := 0; u < an.n; u++ {
 		if !an.reach.has(u) {
 			continue
 		}
-		for _, v := range an.succs[u] {
-			if an.dominates(v, u) {
-				addLoop(u, v)
+		for _, v := range an.succs.row(u) {
+			if !an.dominates(v, u) {
+				continue
 			}
+			// Back edge u→v, header v. Blocks reaching u without passing v
+			// belong to the loop. The header is never walked: for a self
+			// back edge (u == v) the loop is exactly {v}, and walking v's
+			// predecessors would flood everything upstream of the loop
+			// into it.
+			clear(inLoop)
+			inLoop.set(v)
+			members = append(members, edge{v, v})
+			stack := an.stack[:0]
+			if !inLoop.has(u) {
+				inLoop.set(u)
+				members = append(members, edge{u, v})
+				stack = append(stack, u)
+			}
+			for len(stack) > 0 {
+				x := stack[len(stack)-1]
+				stack = stack[:len(stack)-1]
+				for _, p := range an.preds.row(x) {
+					if !inLoop.has(p) && an.reach.has(p) {
+						inLoop.set(p)
+						members = append(members, edge{p, v})
+						stack = append(stack, p)
+					}
+				}
+			}
+			an.stack = stack
 		}
 	}
-	an.loopKey = make([]string, an.n)
-	for b := 0; b < an.n; b++ {
-		if headers[b] == nil {
-			continue
+	slices.SortFunc(members, func(x, y edge) int {
+		if x.row != y.row {
+			return x.row - y.row
 		}
-		var hs []int
-		for h := range headers[b] {
-			hs = append(hs, h)
-		}
-		sort.Ints(hs)
-		var sb strings.Builder
-		for _, h := range hs {
-			fmt.Fprintf(&sb, "%d;", h)
-		}
-		an.loopKey[b] = sb.String()
-	}
+		return x.v - y.v
+	})
+	an.edges = slices.Compact(members)
+	fill(&an.loops, an.n, an.edges)
+}
+
+// sameLoops reports whether blocks a and b sit in the same natural loops.
+func (an *analysis) sameLoops(a, b int) bool {
+	return slices.Equal(an.loops.row(a), an.loops.row(b))
 }
 
 // equivalent implements Definition 3 (via identical control dependences,
@@ -502,7 +497,7 @@ func (an *analysis) equivalent(a, b int) bool {
 	if a == b {
 		return true
 	}
-	if an.cyclic || an.cdKey[a] != an.cdKey[b] {
+	if an.cyclic || !an.sameCD(a, b) {
 		return false
 	}
 	return (an.dominates(a, b) && an.postDominates(b, a)) ||
@@ -522,30 +517,31 @@ func (an *analysis) specDepth(b, h int) int {
 	if an.equivalent(b, h) && an.dominates(b, h) {
 		return 0
 	}
-	seen := map[int]bool{b: true}
-	var frontier []int
-	frontier = append(frontier, b)
+	seen := an.seen
+	clear(seen)
+	seen.set(b)
+	frontier, next := []int{b}, []int(nil)
 	for e := 0; e < an.n; e++ {
-		if e != b && an.cdKey[e] == an.cdKey[b] && an.dominates(b, e) && an.postDominates(e, b) {
-			seen[e] = true
+		if e != b && an.dominates(b, e) && an.postDominates(e, b) && an.sameCD(e, b) {
+			seen.set(e)
 			frontier = append(frontier, e)
 		}
 	}
 	for depth := 1; len(frontier) > 0; depth++ {
-		var next []int
+		next = next[:0]
 		for _, u := range frontier {
-			for _, ch := range an.cdSucc[u] {
-				if seen[ch] || !an.dominates(b, ch) {
+			for _, ch := range an.cdSucc.row(u) {
+				if seen.has(ch) || !an.dominates(b, ch) {
 					continue
 				}
-				seen[ch] = true
+				seen.set(ch)
 				if ch == h {
 					return depth
 				}
 				next = append(next, ch)
 			}
 		}
-		frontier = next
+		frontier, next = next, frontier
 	}
 	return -1
 }

@@ -18,19 +18,7 @@ const (
 	depMem
 )
 
-func (k depKind) String() string {
-	switch k {
-	case depFlow:
-		return "flow"
-	case depAnti:
-		return "anti"
-	case depOutput:
-		return "output"
-	case depMem:
-		return "memory"
-	}
-	return "dep"
-}
+func (k depKind) String() string { return [...]string{"flow", "anti", "output", "memory"}[k] }
 
 // dep records that instruction From must stay ordered before To.
 type dep struct {
@@ -76,44 +64,113 @@ func memConflict(a, b *ir.Instr) bool {
 	return true
 }
 
-// pairDeps appends every dependence forcing a to stay before b (a is
-// textually earlier on some path).
-func pairDeps(a, b *ir.Instr, out []dep) []dep {
-	var adefs, auses, bdefs, buses [4]ir.Reg
-	ad := a.Defs(adefs[:0])
-	au := a.Uses(auses[:0])
-	bd := b.Defs(bdefs[:0])
-	bu := b.Uses(buses[:0])
-
-	has := func(set []ir.Reg, r ir.Reg) bool {
-		for _, x := range set {
-			if x == r {
-				return true
-			}
-		}
-		return false
-	}
-	for _, r := range ad {
-		if has(bu, r) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depFlow, Reg: r})
-		}
-		if has(bd, r) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depOutput, Reg: r})
-		}
-	}
-	for _, r := range au {
-		if has(bd, r) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depAnti, Reg: r})
-		}
-	}
-	if a.Op.TouchesMemory() && b.Op.TouchesMemory() {
-		if !(a.Op.IsLoad() && b.Op.IsLoad()) && memConflict(a, b) {
-			out = append(out, dep{From: a.ID, To: b.ID, Kind: depMem})
-		}
-	}
-	// Nothing may migrate across a terminator within its block; the
-	// terminator-stays-last structural check covers that instead of
-	// explicit control edges here.
-	return out
+// regOcc is one snapshot instruction's touch of one register: its
+// layout index and whether it defines and/or uses the register.
+type regOcc struct {
+	at       int32
+	def, use bool
 }
 
+// regIndex lists, per register, the snapshot instructions touching it
+// in layout order, plus every memory-touching instruction. The
+// dependence walk and the §5.3 liveness check both read it.
+type regIndex struct {
+	occs  rel[regOcc]     // row regKey(r): r's occurrences
+	mems  []int32         // layout indices of memory-touching instructions
+	keyed []entry[regOcc] // scratch, rows by regKey
+}
+
+func regKey(r ir.Reg) int { return int(r.Num)*ir.NumClasses + int(r.Class) }
+
+// build indexes the snapshot's instructions. An instruction reading a
+// register twice, or reading and writing it, occurs once.
+func (ix *regIndex) build(s *Snapshot) {
+	ix.keyed, ix.mems = ix.keyed[:0], ix.mems[:0]
+	maxKey := -1
+	var buf [8]ir.Reg
+	for i := range s.instrs {
+		ins := &s.instrs[i]
+		defs := ins.Defs(buf[:0])
+		first := len(ix.keyed)
+		for j, r := range ins.Uses(defs) {
+			k := regKey(r)
+			o := first
+			for o < len(ix.keyed) && ix.keyed[o].row != k {
+				o++
+			}
+			if o == len(ix.keyed) {
+				ix.keyed = append(ix.keyed, entry[regOcc]{k, regOcc{at: int32(i)}})
+				maxKey = max(maxKey, k)
+			}
+			if j < len(defs) {
+				ix.keyed[o].v.def = true
+			} else {
+				ix.keyed[o].v.use = true
+			}
+		}
+		if ins.Op.TouchesMemory() {
+			ix.mems = append(ix.mems, int32(i))
+		}
+	}
+	fill(&ix.occs, maxKey+1, ix.keyed)
+}
+
+// forEachDep calls emit once for every data dependence of the snapshot
+// program. A pair x, y is ordered when y follows x in one block or y's
+// block is reachable from x's in the forward graph; an ordered pair
+// depends when x defines a register y uses (flow) or defines (output),
+// when x uses a register y defines (anti), or when both touch memory,
+// not both load, and may conflict. Rather than test every ordered pair,
+// the walk visits each register's definitions against its other
+// occurrences, costing definitions times occurrences per register; only
+// the memory-touching instructions are paired with each other.
+func forEachDep(s *Snapshot, an *analysis, ix *regIndex, emit func(dep)) {
+	ordered := func(x, y int32) bool {
+		hx, hy := s.home[x], s.home[y]
+		if hx.block == hy.block {
+			return hx.pos < hy.pos
+		}
+		return an.forwardReach(hx.block, hy.block)
+	}
+	id := func(x int32) int { return s.instrs[x].ID }
+	for k := 0; k+1 < len(ix.occs.start); k++ {
+		occ := ix.occs.row(k)
+		r := ir.Reg{Class: ir.RegClass(k % ir.NumClasses), Num: int32(k / ir.NumClasses)}
+		for i, d := range occ {
+			if !d.def {
+				continue
+			}
+			for j, o := range occ {
+				if i == j {
+					continue
+				}
+				if ordered(d.at, o.at) {
+					if o.use {
+						emit(dep{From: id(d.at), To: id(o.at), Kind: depFlow, Reg: r})
+					}
+					if o.def {
+						emit(dep{From: id(d.at), To: id(o.at), Kind: depOutput, Reg: r})
+					}
+				}
+				if o.use && ordered(o.at, d.at) {
+					emit(dep{From: id(o.at), To: id(d.at), Kind: depAnti, Reg: r})
+				}
+			}
+		}
+	}
+	for i, x := range ix.mems {
+		a := &s.instrs[x]
+		for _, y := range ix.mems[i+1:] {
+			b := &s.instrs[y]
+			if (a.Op.IsLoad() && b.Op.IsLoad()) || !memConflict(a, b) {
+				continue
+			}
+			if ordered(x, y) {
+				emit(dep{From: a.ID, To: b.ID, Kind: depMem})
+			}
+			if ordered(y, x) {
+				emit(dep{From: b.ID, To: a.ID, Kind: depMem})
+			}
+		}
+	}
+}

@@ -9,6 +9,7 @@ package verify_test
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"gsched/internal/asm"
@@ -252,4 +253,74 @@ func TestDef6OffPathLivenessAccepted(t *testing.T) {
 	if err := verify.Check(snap, f, dupRules); err != nil {
 		t.Fatalf("legal duplication rejected: %v", err)
 	}
+}
+
+// TestCheckConcurrent: checks running at once on several goroutines
+// share only the pool of checker state, so each returns exactly what it
+// returns alone. Every other function has two body instructions swapped
+// after scheduling, so the violation paths run concurrently too.
+func TestCheckConcurrent(t *testing.T) {
+	type job struct {
+		snap  *verify.Snapshot
+		f     *ir.Func
+		rules verify.Rules
+		want  string
+	}
+	result := func(err error) string {
+		if err == nil {
+			return ""
+		}
+		return err.Error()
+	}
+	var jobs []job
+	rejected := 0
+	for seed := int64(0); seed < 8; seed++ {
+		prog, err := minic.Compile(progen.New(seed).Source)
+		if err != nil {
+			t.Fatal(err)
+		}
+		snaps := make([]*verify.Snapshot, len(prog.Funcs))
+		for fi, f := range prog.Funcs {
+			snaps[fi] = verify.Capture(f)
+		}
+		opts := core.Defaults(machine.RS6K(), core.LevelSpeculative)
+		opts.Rename = false
+		opts.Parallelism = 1
+		if _, err := core.ScheduleProgram(prog, opts); err != nil {
+			t.Fatal(err)
+		}
+		for fi, f := range prog.Funcs {
+			if fi%2 == 1 {
+				for _, b := range f.Blocks {
+					if body := b.Body(); len(body) >= 2 {
+						body[0], body[1] = body[1], body[0]
+						break
+					}
+				}
+			}
+			j := job{snaps[fi], f, opts.VerifyRules(), ""}
+			j.want = result(verify.Check(j.snap, j.f, j.rules))
+			if j.want != "" {
+				rejected++
+			}
+			jobs = append(jobs, j)
+		}
+	}
+	if rejected == 0 {
+		t.Fatal("no check rejected; the violation paths never ran")
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range jobs {
+				j := jobs[(i+7*g)%len(jobs)]
+				if got := result(verify.Check(j.snap, j.f, j.rules)); got != j.want {
+					t.Errorf("goroutine %d, %s: concurrent check returned\n%s\nwant\n%s", g, j.f.Name, got, j.want)
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -24,8 +24,9 @@ package verify
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
+	"sync"
 
 	"gsched/internal/ir"
 )
@@ -92,68 +93,123 @@ type place struct{ block, pos int }
 type Snapshot struct {
 	FuncName string
 	labels   []string
-	order    [][]int // instruction IDs per block, in pre-schedule order
-	instrs   map[int]*ir.Instr
-	home     map[int]place
+	start    []int      // block b holds instrs[start[b]:start[b+1]]
+	instrs   []ir.Instr // pre-schedule instructions by value, in layout order
+	home     []place    // layout index -> pre-schedule location
+	at       []int32    // instruction ID -> layout index, -1 when absent
 }
 
-// Capture records the current layout of f.
+// Capture records the current layout of f. Instruction IDs are dense
+// per function (ir.Func allocates them from 0), so every table the
+// verifier keeps is a slice indexed by ID or by layout position.
 func Capture(f *ir.Func) *Snapshot {
+	n, maxID, nMem, nArgs := 0, -1, 0, 0
+	for _, b := range f.Blocks {
+		for _, ins := range b.Instrs {
+			n++
+			maxID = max(maxID, ins.ID)
+			if ins.Mem != nil {
+				nMem++
+			}
+			nArgs += len(ins.CallArgs)
+		}
+	}
 	s := &Snapshot{
 		FuncName: f.Name,
 		labels:   make([]string, len(f.Blocks)),
-		order:    make([][]int, len(f.Blocks)),
-		instrs:   make(map[int]*ir.Instr),
-		home:     make(map[int]place),
+		start:    make([]int, len(f.Blocks)+1),
+		instrs:   make([]ir.Instr, n),
+		home:     make([]place, n),
+		at:       make([]int32, maxID+1),
 	}
+	for i := range s.at {
+		s.at[i] = -1
+	}
+	// Memory operands and call arguments are copied into two shared
+	// backing arrays, so the snapshot stays independent of later edits.
+	mems := make([]ir.Mem, 0, nMem)
+	args := make([]ir.Reg, 0, nArgs)
+	i := 0
 	for bi, b := range f.Blocks {
 		s.labels[bi] = b.Label
-		ids := make([]int, len(b.Instrs))
+		s.start[bi] = i
 		for pi, ins := range b.Instrs {
-			ids[pi] = ins.ID
-			s.instrs[ins.ID] = ins.Clone(ins.ID)
-			s.home[ins.ID] = place{bi, pi}
+			c := &s.instrs[i]
+			*c = *ins
+			if ins.Mem != nil {
+				mems = append(mems, *ins.Mem)
+				c.Mem = &mems[len(mems)-1]
+			}
+			if ins.CallArgs != nil {
+				k := len(args)
+				args = append(args, ins.CallArgs...)
+				c.CallArgs = args[k:len(args):len(args)]
+			}
+			s.home[i] = place{bi, pi}
+			s.at[ins.ID] = int32(i)
+			i++
 		}
-		s.order[bi] = ids
 	}
+	s.start[len(f.Blocks)] = n
 	return s
 }
+
+// instr returns the snapshot instruction with the given ID, or nil.
+func (s *Snapshot) instr(id int) *ir.Instr {
+	if id < 0 || id >= len(s.at) || s.at[id] < 0 {
+		return nil
+	}
+	return &s.instrs[s.at[id]]
+}
+
+// checkers pools the checker state, every dense table and analysis
+// scratch array included, so back-to-back checks reuse one set of
+// arrays instead of allocating their own.
+var checkers = sync.Pool{New: func() any { return new(checker) }}
 
 // Check validates the scheduled function f against its pre-schedule
 // snapshot under the given rules. It returns nil for a legal schedule
 // and an *Error listing every violation otherwise.
 func Check(snap *Snapshot, f *ir.Func, rules Rules) error {
-	c := &checker{
-		snap:       snap,
-		f:          f,
-		rules:      rules,
-		final:      make(map[int]place),
-		finalInstr: make(map[int]*ir.Instr),
-		origin:     make(map[int]int),
-		placements: make(map[int][]place),
-		dupGroup:   make(map[int]bool),
+	c := checkers.Get().(*checker)
+	c.snap, c.f, c.rules, c.vs = snap, f, rules, nil
+	if c.structure() {
+		c.an.analyze(f)
+		c.ix.build(snap)
+		c.accounting()
+		c.motions()
+		forEachDep(snap, &c.an, &c.ix, c.checkDep)
 	}
-	if !c.structure() {
-		return c.result()
+	var err error
+	if len(c.vs) > 0 {
+		err = &Error{Violations: c.vs}
 	}
-	c.an = analyze(f)
-	c.accounting()
-	c.motions()
-	c.depOrder()
-	return c.result()
+	clear(c.finalInstr) // hold no pointers into f while pooled
+	c.snap, c.f, c.vs = nil, nil, nil
+	checkers.Put(c)
+	return err
 }
 
 type checker struct {
 	snap  *Snapshot
 	f     *ir.Func
 	rules Rules
-	an    *analysis
+	an    analysis
+	ix    regIndex
 
-	final      map[int]place     // instruction ID -> scheduled location
-	finalInstr map[int]*ir.Instr // instruction ID -> scheduled instruction
-	origin     map[int]int       // duplicate-copy ID -> snapshot ID it copies
-	placements map[int][]place   // snapshot ID -> original + copy locations
-	dupGroup   map[int]bool      // snapshot IDs verified as duplication groups
+	// Dense state indexed by instruction ID.
+	final      []place     // scheduled location, block -1 when absent
+	finalInstr []*ir.Instr // scheduled instruction
+	origin     []int32     // duplicate copy -> snapshot ID it copies, -1 otherwise
+	dupGroup   []bool      // snapshot IDs verified as duplication groups
+	placements rel[place]  // snapshot ID -> its location, then its copies'
+
+	// Scratch.
+	extras                       []int
+	placed                       []entry[place]
+	bools                        []bool
+	gen, kill, seen, cover, done []bool
+	stack                        []int
 
 	vs []Violation
 }
@@ -165,13 +221,6 @@ func (c *checker) violate(rule string, ins *ir.Instr, format string, args ...int
 		v.Instr = ins.String()
 	}
 	c.vs = append(c.vs, v)
-}
-
-func (c *checker) result() error {
-	if len(c.vs) == 0 {
-		return nil
-	}
-	return &Error{Violations: c.vs}
 }
 
 // structure checks that the block skeleton is untouched: scheduling may
@@ -199,10 +248,23 @@ func (c *checker) structure() bool {
 // instruction with its snapshot, matches extra instructions to the
 // originals they duplicate, and checks that terminators stayed put.
 func (c *checker) accounting() {
-	var extras []int
+	n := len(c.snap.at)
+	for _, b := range c.f.Blocks {
+		for _, ins := range b.Instrs {
+			n = max(n, ins.ID+1)
+		}
+	}
+	c.final = grow(c.final, n)
+	c.finalInstr = grow(c.finalInstr, n)
+	c.origin = grow(c.origin, n)
+	c.dupGroup = grow(c.dupGroup, n)
+	for id := range c.final {
+		c.final[id].block = -1
+		c.origin[id] = -1
+	}
 	for bi, b := range c.f.Blocks {
 		for pi, ins := range b.Instrs {
-			if prev, dup := c.final[ins.ID]; dup {
+			if prev := c.final[ins.ID]; prev.block >= 0 {
 				c.violate("accounting", ins, "instruction ID appears twice (blocks %d and %d)", prev.block, bi)
 				continue
 			}
@@ -210,27 +272,33 @@ func (c *checker) accounting() {
 			c.finalInstr[ins.ID] = ins
 		}
 	}
-	for _, id := range c.snapIDs() {
-		if _, ok := c.final[id]; !ok {
-			c.violate("accounting", c.snap.instrs[id], "instruction lost by scheduling")
+	for id := range c.snap.at {
+		if s := c.snap.instr(id); s != nil && c.final[id].block < 0 {
+			c.violate("accounting", s, "instruction lost by scheduling")
 		}
 	}
-	bySig := make(map[string][]int)
+	extras := c.extras[:0]
 	for id, ins := range c.finalInstr {
-		if s, ok := c.snap.instrs[id]; ok {
-			if !sameInstr(s, ins) {
-				c.violate("accounting", s, "instruction altered by scheduling: now %q", ins.String())
-			}
-			c.placements[id] = append(c.placements[id], c.final[id])
-		} else {
+		if ins == nil {
+			continue
+		}
+		if s := c.snap.instr(id); s == nil {
 			extras = append(extras, id)
+		} else if !sameInstr(s, ins) {
+			c.violate("accounting", s, "instruction altered by scheduling: now %q", ins.String())
 		}
 	}
-	for _, id := range c.snapIDs() {
-		s := c.snap.instrs[id].String()
-		bySig[s] = append(bySig[s], id) // sorted-id order: deterministic
+	c.extras = extras
+	var bySig map[string][]int
+	if len(extras) > 0 {
+		bySig = make(map[string][]int)
+		for id := range c.snap.at {
+			if s := c.snap.instr(id); s != nil {
+				sig := s.String()
+				bySig[sig] = append(bySig[sig], id) // sorted-id order: deterministic
+			}
+		}
 	}
-	sort.Ints(extras)
 	for _, e := range extras {
 		ins := c.finalInstr[e]
 		// Several snapshot instructions can share a printed form (loop
@@ -241,7 +309,7 @@ func (c *checker) accounting() {
 		// join (or strictly upstream, when a later session hoisted it).
 		best, bestScore := -1, 0
 		for _, cand := range bySig[ins.String()] {
-			if _, present := c.final[cand]; !present {
+			if c.final[cand].block < 0 {
 				continue // the original itself was lost; do not pair
 			}
 			if s := c.matchScore(e, cand); s > bestScore {
@@ -252,14 +320,28 @@ func (c *checker) accounting() {
 			c.violate("accounting", ins, "unknown instruction introduced by scheduling")
 			continue
 		}
-		c.origin[e] = best
-		c.placements[best] = append(c.placements[best], c.final[e])
+		c.origin[e] = int32(best)
 	}
+	// Each snapshot instruction's placements: its own location, then
+	// those of the extras copying it in ascending ID order.
+	placed := c.placed[:0]
+	for id, at := range c.snap.at {
+		if at >= 0 && c.final[id].block >= 0 {
+			placed = append(placed, entry[place]{id, c.final[id]})
+		}
+	}
+	for _, e := range extras {
+		if o := c.origin[e]; o >= 0 {
+			placed = append(placed, entry[place]{int(o), c.final[e]})
+		}
+	}
+	fill(&c.placements, len(c.final), placed)
+	c.placed = placed
 	// Terminators stay the last instruction of their block.
 	for bi, b := range c.f.Blocks {
 		snapTerm, finalTerm := -1, -1
-		if ids := c.snap.order[bi]; len(ids) > 0 {
-			if last := c.snap.instrs[ids[len(ids)-1]]; last.Op.IsTerminator() {
+		if lo, hi := c.snap.start[bi], c.snap.start[bi+1]; hi > lo {
+			if last := &c.snap.instrs[hi-1]; last.Op.IsTerminator() {
 				snapTerm = last.ID
 			}
 		}
@@ -278,17 +360,11 @@ func (c *checker) accounting() {
 // sits strictly upstream of that join, 1 as a last resort, ties broken
 // by the caller's ascending candidate order.
 func (c *checker) matchScore(e, cand int) int {
-	home, ok := c.snap.home[cand]
-	if !ok {
-		return 1
-	}
-	J := home.block
+	J := c.snap.home[c.snap.at[cand]].block
 	fb := c.final[e].block
-	if len(c.an.preds[J]) >= 2 {
-		for _, p := range c.an.preds[J] {
-			if p == fb {
-				return 3
-			}
+	if len(c.an.preds.row(J)) >= 2 {
+		if slices.Contains(c.an.preds.row(J), fb) {
+			return 3
 		}
 		if fb != J && c.an.forwardReach(fb, J) {
 			return 2
@@ -297,24 +373,22 @@ func (c *checker) matchScore(e, cand int) int {
 	return 1
 }
 
-func (c *checker) snapIDs() []int {
-	ids := make([]int, 0, len(c.snap.instrs))
-	for id := range c.snap.instrs {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
 // motions classifies and validates every cross-block motion.
 func (c *checker) motions() {
-	for _, id := range c.snapIDs() {
-		fin, ok := c.final[id]
-		if !ok {
+	nb := len(c.f.Blocks)
+	c.bools = grow(c.bools, 5*nb)
+	b := c.bools
+	c.gen, c.kill, c.seen, c.cover, c.done = b[:nb], b[nb:2*nb], b[2*nb:3*nb], b[3*nb:4*nb], b[4*nb:]
+	for id, at := range c.snap.at {
+		if at < 0 {
+			continue
+		}
+		fin := c.final[id]
+		if fin.block < 0 {
 			continue // already reported as lost
 		}
-		home := c.snap.home[id]
-		if len(c.placements[id]) > 1 {
+		home := c.snap.home[at]
+		if len(c.placements.row(id)) > 1 {
 			c.checkDuplication(id)
 			continue
 		}
@@ -328,8 +402,9 @@ func (c *checker) motions() {
 // either useful (equivalent blocks) or speculative (§3's n-branch
 // motion).
 func (c *checker) classifyMotion(id int, home, fin place) {
-	ins := c.snap.instrs[id]
+	ins := c.snap.instr(id)
 	H, B := home.block, fin.block
+	c.an.motionFacts()
 	if ins.Op.NeverMoves() {
 		c.violate("pinned", ins, "instruction of this opcode may never move (block %d -> %d)", H, B)
 		return
@@ -346,7 +421,7 @@ func (c *checker) classifyMotion(id int, home, fin place) {
 		c.violate("cross-block", ins, "cross-block motion in an irreducible flow graph (block %d -> %d)", H, B)
 		return
 	}
-	if c.an.loopKey[H] != c.an.loopKey[B] {
+	if !c.an.sameLoops(H, B) {
 		c.violate("region", ins, "motion changes loop membership (block %d -> %d)", H, B)
 		return
 	}
@@ -391,9 +466,9 @@ func (c *checker) classifyMotion(id int, home, fin place) {
 // exactly once, and each copy's definitions must be unobservable on
 // paths that bypass the join.
 func (c *checker) checkDuplication(id int) {
-	ins := c.snap.instrs[id]
-	home := c.snap.home[id]
-	J := home.block
+	ins := c.snap.instr(id)
+	J := c.snap.home[c.snap.at[id]].block
+	c.an.motionFacts()
 	if !c.rules.CrossBlock || !c.rules.AllowDuplication {
 		c.violate("duplication", ins, "duplication is disabled (join block %d)", J)
 		return
@@ -410,16 +485,20 @@ func (c *checker) checkDuplication(id int) {
 		c.violate("duplication", ins, "duplication in an irreducible flow graph (join block %d)", J)
 		return
 	}
-	predSet := make(map[int]bool)
-	for _, p := range c.an.preds[J] {
-		predSet[p] = true
+	preds := c.an.preds.row(J)
+	distinct := 0
+	for k, p := range preds {
+		if !slices.Contains(preds[:k], p) {
+			distinct++
+		}
 	}
-	if len(predSet) < 2 {
-		c.violate("duplication", ins, "home block %d is not a join (%d predecessors)", J, len(predSet))
+	if distinct < 2 {
+		c.violate("duplication", ins, "home block %d is not a join (%d predecessors)", J, distinct)
 		return
 	}
-	cover := make(map[int]bool)
-	for _, pl := range c.placements[id] {
+	cover := c.cover
+	clear(cover)
+	for _, pl := range c.placements.row(id) {
 		cover[pl.block] = true
 	}
 	// Copies may sit upstream of their predecessor: the session's own
@@ -436,15 +515,15 @@ func (c *checker) checkDuplication(id int) {
 	// ones are shadowed; join-bypassing executions are §5.3-checked
 	// below). done[b] computes "every forward path reaching the end of b
 	// has executed a copy" by structural induction over the forward graph.
-	for b := range cover {
-		if b == J {
-			continue // an instance at the home join itself
+	for b, covered := range cover {
+		if !covered || b == J {
+			continue // J: an instance at the home join itself
 		}
-		if !predSet[b] && !c.an.forwardReach(b, J) {
+		if !slices.Contains(preds, b) && !c.an.forwardReach(b, J) {
 			c.violate("duplication", ins, "copy placed in block %d, not upstream of join %d", b, J)
 			return
 		}
-		if c.an.loopKey[b] != c.an.loopKey[J] {
+		if !c.an.sameLoops(b, J) {
 			c.violate("region", ins, "duplication crosses a loop boundary (block %d vs join %d)", b, J)
 			return
 		}
@@ -452,7 +531,8 @@ func (c *checker) checkDuplication(id int) {
 	// A copy at J covers every entering path by itself; otherwise every
 	// predecessor must be covered by the forward induction.
 	if !cover[J] {
-		done := make([]bool, len(c.f.Blocks))
+		done := c.done
+		clear(done)
 		for changed := true; changed; {
 			changed = false
 			for b := range done {
@@ -460,9 +540,9 @@ func (c *checker) checkDuplication(id int) {
 					continue
 				}
 				ok := cover[b]
-				if !ok && len(c.an.fpreds[b]) > 0 {
+				if !ok && len(c.an.fpreds.row(b)) > 0 {
 					ok = true
-					for _, p := range c.an.fpreds[b] {
+					for _, p := range c.an.fpreds.row(b) {
 						if !done[p] {
 							ok = false
 							break
@@ -475,7 +555,7 @@ func (c *checker) checkDuplication(id int) {
 				}
 			}
 		}
-		for p := range predSet {
+		for _, p := range preds {
 			if !done[p] {
 				c.violate("duplication", ins, "predecessor block %d of join %d has no covering copy", p, J)
 				return
@@ -483,7 +563,7 @@ func (c *checker) checkDuplication(id int) {
 		}
 	}
 	c.dupGroup[id] = true
-	for _, pl := range c.placements[id] {
+	for _, pl := range c.placements.row(id) {
 		if pl.block == J {
 			continue // executes exactly where the original did: never speculative
 		}
@@ -503,7 +583,7 @@ func (c *checker) checkDuplication(id int) {
 // re-checks liveness dynamically after every motion, §5.3) no longer
 // read the clobbered register.
 func (c *checker) checkOffPath(id int, pl place, H int, rule string) {
-	ins := c.snap.instrs[id]
+	ins := c.snap.instr(id)
 	var defs [2]ir.Reg
 	for _, r := range ins.Defs(defs[:0]) {
 		if c.offPathLive(r, pl, H, id) {
@@ -518,63 +598,51 @@ func (c *checker) checkOffPath(id int, pl place, H int, rule string) {
 // with observers restricted to uses still placed downstream of pl, the
 // liveness of r just after position pl.pos of final block pl.block.
 func (c *checker) offPathLive(r ir.Reg, pl place, H int, id int) bool {
-	n := len(c.snap.order)
-	gen := make([]bool, n)
-	kill := make([]bool, n)
-	for b := 0; b < n; b++ {
-		seenDef := false
-		for _, id2 := range c.snap.order[b] {
-			ins2 := c.snap.instrs[id2]
-			if !seenDef && ins2.UsesReg(r) && c.observesDownstream(id2, pl) {
-				gen[b] = true
-			}
-			if ins2.DefsReg(r) {
-				seenDef = true
-			}
+	// Uses and kills between the new position and the end of its block
+	// are taken from the final layout: anything placed after the moved
+	// definition inside its block reads the new value directly. The
+	// first that touches r decides.
+	for _, j := range c.f.Blocks[pl.block].Instrs[pl.pos+1:] {
+		if j.DefsReg(r) {
+			return false
 		}
-		kill[b] = seenDef
+		if j.UsesReg(r) && !c.snapConsumer(id, j.ID) {
+			return true
+		}
 	}
-	liveIn := make([]bool, n)
-	for changed := true; changed; {
-		changed = false
-		for b := n - 1; b >= 0; b-- {
-			if b == H || liveIn[b] {
-				continue // the home block is masked; live stays live
-			}
-			out := false
-			for _, s := range c.an.succs[b] {
-				if liveIn[s] {
-					out = true
-					break
-				}
-			}
-			if gen[b] || (out && !kill[b]) {
-				liveIn[b] = true
-				changed = true
-			}
+	// Otherwise r is live out of the block when a path from one of its
+	// successors reaches a use before any definition of r, never
+	// entering H. Per-block gen and kill come from r's occurrence list
+	// alone, which is in layout order: a use generates only while its
+	// block has not yet defined r.
+	gen, kill, seen := c.gen, c.kill, c.seen
+	clear(gen)
+	clear(kill)
+	clear(seen)
+	for _, o := range c.ix.occs.row(regKey(r)) { // r is indexed: the snapshot defines it
+		b := c.snap.home[o.at].block
+		if o.use && !kill[b] && !gen[b] && c.observesDownstream(c.snap.instrs[o.at].ID, pl) {
+			gen[b] = true
+		}
+		if o.def {
+			kill[b] = true
 		}
 	}
 	live := false
-	for _, s := range c.an.succs[pl.block] {
-		if liveIn[s] {
-			live = true
-			break
+	stack := append(c.stack[:0], c.an.succs.row(pl.block)...)
+	for len(stack) > 0 && !live {
+		b := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if b == H || seen[b] {
+			continue // the home block is masked
+		}
+		seen[b] = true
+		live = gen[b]
+		if !kill[b] {
+			stack = append(stack, c.an.succs.row(b)...)
 		}
 	}
-	// Uses and kills between the new position and the end of its block
-	// are taken from the final layout: anything placed after the moved
-	// definition inside its block reads the new value directly.
-	instrs := c.f.Blocks[pl.block].Instrs
-	for k := len(instrs) - 1; k > pl.pos; k-- {
-		j := instrs[k]
-		if j.DefsReg(r) {
-			live = false
-			continue
-		}
-		if j.UsesReg(r) && !c.snapConsumer(id, j.ID) {
-			live = true
-		}
-	}
+	c.stack = stack
 	return live
 }
 
@@ -583,8 +651,8 @@ func (c *checker) offPathLive(r ir.Reg, pl place, H int, id int) bool {
 // program. Same-block observers are excluded here; the caller walks the
 // final block directly.
 func (c *checker) observesDownstream(u int, pl place) bool {
-	fp, ok := c.final[u]
-	if !ok {
+	fp := c.final[u]
+	if fp.block < 0 {
 		return true // lost instruction: reported elsewhere, stay conservative
 	}
 	if fp.block == pl.block {
@@ -597,68 +665,30 @@ func (c *checker) observesDownstream(u int, pl place) bool {
 // forward consumer of src: in the same block after it, or in a block
 // reachable from src's home in the forward graph.
 func (c *checker) snapConsumer(src, cons int) bool {
-	if o, ok := c.origin[cons]; ok {
-		cons = o
+	if o := c.origin[cons]; o >= 0 {
+		cons = int(o)
 	}
-	sh, ok := c.snap.home[src]
-	if !ok {
+	if c.snap.instr(src) == nil || c.snap.instr(cons) == nil {
 		return false
 	}
-	ch, ok := c.snap.home[cons]
-	if !ok {
-		return false
-	}
+	sh, ch := c.snap.home[c.snap.at[src]], c.snap.home[c.snap.at[cons]]
 	if sh.block == ch.block {
 		return ch.pos > sh.pos
 	}
 	return c.an.forwardReach(sh.block, ch.block)
 }
 
-// depOrder re-derives every data dependence of the snapshot program and
-// checks that each one still executes in order at every placement pair.
-func (c *checker) depOrder() {
-	var buf []dep
-	emit := func(a, b *ir.Instr) {
-		buf = pairDeps(a, b, buf[:0])
-		for _, d := range buf {
-			c.checkDep(d)
-		}
-	}
-	for _, ids := range c.snap.order {
-		for x := 0; x < len(ids); x++ {
-			for y := x + 1; y < len(ids); y++ {
-				emit(c.snap.instrs[ids[x]], c.snap.instrs[ids[y]])
-			}
-		}
-	}
-	n := len(c.snap.order)
-	for ai := 0; ai < n; ai++ {
-		if !c.an.reach.has(ai) {
-			continue
-		}
-		for bi := 0; bi < n; bi++ {
-			if ai == bi || !c.an.forwardReach(ai, bi) {
-				continue
-			}
-			for _, x := range c.snap.order[ai] {
-				for _, y := range c.snap.order[bi] {
-					emit(c.snap.instrs[x], c.snap.instrs[y])
-				}
-			}
-		}
-	}
-}
-
 // checkDep verifies one snapshot dependence at every placement pair of
 // its endpoints.
 func (c *checker) checkDep(d dep) {
-	for _, px := range c.placements[d.From] {
-		for _, py := range c.placements[d.To] {
+	from, to := c.snap.instr(d.From), c.snap.instr(d.To)
+	for _, px := range c.placements.row(d.From) {
+		for _, py := range c.placements.row(d.To) {
 			if px.block == py.block {
 				if px.pos >= py.pos {
-					c.violate("dependence", c.snap.instrs[d.From],
+					c.violate("dependence", from,
 						"%s dependence%s on %q reordered within block %d",
-						d.Kind, regSuffix(d), c.snap.instrs[d.To].String(), px.block)
+						d.Kind, regSuffix(d), to.String(), px.block)
 				}
 				continue
 			}
@@ -684,9 +714,9 @@ func (c *checker) checkDep(d dep) {
 				if c.dupGroup[d.To] {
 					continue
 				}
-				c.violate("dependence", c.snap.instrs[d.From],
+				c.violate("dependence", from,
 					"%s dependence%s on %q reversed across blocks (%d vs %d)",
-					d.Kind, regSuffix(d), c.snap.instrs[d.To].String(), px.block, py.block)
+					d.Kind, regSuffix(d), to.String(), px.block, py.block)
 				continue
 			}
 			// Parallel placements: legal only for duplication copies,
@@ -694,9 +724,9 @@ func (c *checker) checkDep(d dep) {
 			if c.dupGroup[d.From] || c.dupGroup[d.To] {
 				continue
 			}
-			c.violate("dependence", c.snap.instrs[d.From],
+			c.violate("dependence", from,
 				"%s dependence%s on %q split onto parallel blocks (%d vs %d)",
-				d.Kind, regSuffix(d), c.snap.instrs[d.To].String(), px.block, py.block)
+				d.Kind, regSuffix(d), to.String(), px.block, py.block)
 		}
 	}
 }

@@ -78,11 +78,8 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 	// restructure the flow graph, so each bracket snapshots after them:
 	// within a bracket the block skeleton is invariant, which is what the
 	// verifier relies on.
-	check := func(snap *verify.Snapshot, rules verify.Rules) error {
-		if snap == nil {
-			return nil
-		}
-		if err := verify.Check(snap, f, rules); err != nil {
+	check := func(vb core.VerifyBracket, rules verify.Rules) error {
+		if err := vb.Check(f, rules, opts.Trace); err != nil {
 			return fmt.Errorf("xform: illegal schedule: %w", err)
 		}
 		return nil
@@ -99,17 +96,14 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 			st.LoopsUnrolled = transformInnerLoops(f, cfgX.UnrollMaxBlocks, UnrollOnce)
 			done()
 		}
-		var snap *verify.Snapshot
-		if opts.Verify {
-			snap = verify.Capture(f)
-		}
+		vb := opts.BeginVerify(f)
 		// First pass: inner regions only.
 		if err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
 			return r.IsLoop && height == 0
 		}); err != nil {
 			return st, err
 		}
-		if err := check(snap, opts.VerifyRules()); err != nil {
+		if err := check(vb, opts.VerifyRules()); err != nil {
 			return st, err
 		}
 		rotated := 0
@@ -119,9 +113,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 			done()
 			st.LoopsRotated = rotated
 		}
-		if opts.Verify {
-			snap = verify.Capture(f)
-		}
+		vb = opts.BeginVerify(f)
 		// Second pass: rotated inner loops (now fresh regions) and the
 		// outer regions.
 		if err := scheduleFiltered(ctx, f, &opts, &st.Stats, func(r *cfg.Region, height int) bool {
@@ -135,7 +127,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 		}); err != nil {
 			return st, err
 		}
-		if err := check(snap, opts.VerifyRules()); err != nil {
+		if err := check(vb, opts.VerifyRules()); err != nil {
 			return st, err
 		}
 	}
@@ -144,10 +136,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 		if err := ctx.Err(); err != nil {
 			return st, fmt.Errorf("xform: cancelled: %w", err)
 		}
-		var snap *verify.Snapshot
-		if opts.Verify {
-			snap = verify.Capture(f)
-		}
+		vb := opts.BeginVerify(f)
 		mach := opts.Machine
 		done := opts.Trace.TimePhase(core.PhaseLocal)
 		for _, b := range f.Blocks {
@@ -156,7 +145,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 		}
 		done()
 		// The basic block post-pass may not move anything across blocks.
-		if err := check(snap, verify.Rules{}); err != nil {
+		if err := check(vb, verify.Rules{}); err != nil {
 			return st, err
 		}
 	}
@@ -165,10 +154,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 		if err := ctx.Err(); err != nil {
 			return st, fmt.Errorf("xform: cancelled: %w", err)
 		}
-		var snap *verify.Snapshot
-		if opts.Verify {
-			snap = verify.Capture(f)
-		}
+		vb := opts.BeginVerify(f)
 		done := opts.Trace.TimePhase(core.PhaseExact)
 		err := core.ExactPassCtx(ctx, f, &opts, &st.Stats)
 		done()
@@ -176,7 +162,7 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 			return st, err
 		}
 		// The exact tier only permutes within blocks, like the post-pass.
-		if err := check(snap, verify.Rules{}); err != nil {
+		if err := check(vb, verify.Rules{}); err != nil {
 			return st, err
 		}
 	}

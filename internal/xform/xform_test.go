@@ -180,6 +180,39 @@ func TestDriverFullPipeline(t *testing.T) {
 	}
 }
 
+// TestDriverTracesVerifyBrackets: on the pipeline path every verifier
+// bracket — its snapshot and its check — is timed as one PhaseVerify
+// run, and with Verify off none is recorded.
+func TestDriverTracesVerifyBrackets(t *testing.T) {
+	for _, tc := range []struct {
+		level core.Level
+		runs  int64 // pass 1, pass 2, local post-pass, exact tier
+	}{
+		{core.LevelNone, 1},
+		{core.LevelSpeculative, 3},
+		{core.LevelOptimal, 4},
+	} {
+		for _, verify := range []bool{false, true} {
+			_, f := sumProgram()
+			opts := core.Defaults(machine.RS6K(), tc.level)
+			opts.Verify = verify
+			opts.Trace = new(core.Trace)
+			if _, err := Run(f, opts, DefaultConfig()); err != nil {
+				t.Fatalf("level=%s verify=%v: %v", tc.level, verify, err)
+			}
+			d, runs := opts.Trace.PhaseTotal(core.PhaseVerify)
+			want := int64(0)
+			if verify {
+				want = tc.runs
+			}
+			if runs != want || (want > 0) != (d > 0) {
+				t.Errorf("level=%s verify=%v: %d PhaseVerify runs taking %v, want %d runs",
+					tc.level, verify, runs, d, want)
+			}
+		}
+	}
+}
+
 func TestDriverOnMinMax(t *testing.T) {
 	// The 10-block minmax loop exceeds the 4-block unroll/rotate caps,
 	// but the driver must still schedule it globally.
