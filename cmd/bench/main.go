@@ -313,11 +313,9 @@ func parseSizes(s string) ([]int, error) {
 // not just the final heap.
 func runScalePoint(target, jobs int) (ScalePoint, error) {
 	hp := progen.Huge(11, target)
-	cfg := stream.Config{
-		Opts:     core.Defaults(machine.RS6K(), core.LevelSpeculative),
-		Pipeline: xform.DefaultConfig(), UsePipeline: true,
-		Jobs: jobs,
-	}
+	pipe := xform.DefaultConfig()
+	cfg := stream.Config{Opts: core.Defaults(machine.RS6K(), core.LevelSpeculative), Pipeline: &pipe}
+	cfg.Opts.Parallelism = jobs
 	runtime.GC()
 	var before runtime.MemStats
 	runtime.ReadMemStats(&before)

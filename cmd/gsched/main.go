@@ -16,7 +16,6 @@ package main
 import (
 	"bufio"
 	"context"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -28,6 +27,7 @@ import (
 
 	"gsched"
 	"gsched/internal/cfg"
+	"gsched/internal/core"
 	"gsched/internal/machine"
 )
 
@@ -119,7 +119,7 @@ func realMain(path string) error {
 	if err != nil {
 		return err
 	}
-	lv, err := parseLevel(*level)
+	lv, err := core.ParseLevel(*level)
 	if err != nil {
 		return err
 	}
@@ -159,13 +159,12 @@ func realMain(path string) error {
 	// The simulator and the CFG dump need the whole program in memory;
 	// everything else runs through the streaming pipeline, which
 	// produces identical bytes while scheduling functions as the parser
-	// yields them. Sources that define a function twice fall back to
-	// the materializing path (last-definition-wins needs the whole
-	// unit).
+	// yields them.
 	if *run == "" && *dot == "" {
-		cfg := gsched.StreamConfig{Opts: opts, Jobs: *jobs}
+		cfg := gsched.StreamConfig{Opts: opts}
 		if *pipeline {
-			cfg.Pipeline, cfg.UsePipeline = gsched.DefaultPipeline(), true
+			pc := gsched.DefaultPipeline()
+			cfg.Pipeline = &pc
 		}
 		var out io.Writer
 		var bw *bufio.Writer
@@ -174,18 +173,16 @@ func realMain(path string) error {
 			out = bw
 		}
 		res, err := gsched.ScheduleStream(context.Background(), l, string(src), cfg, out)
-		if err == nil {
-			if bw != nil {
-				if err := bw.Flush(); err != nil {
-					return err
-				}
-			}
-			printStats(res.Stats)
-			return nil
-		}
-		if !errors.Is(err, gsched.ErrDuplicateFunc) {
+		if err != nil {
 			return err
 		}
+		if bw != nil {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		printStats(res.Stats)
+		return nil
 	}
 
 	var prog *gsched.Program
@@ -270,20 +267,4 @@ func printStats(st gsched.PipelineStats) {
 		fmt.Printf("exact: %d blocks searched, %d improved, %d cycles saved\n",
 			st.ExactBlocks, st.ExactImproved, st.ExactCyclesSaved)
 	}
-}
-
-func parseLevel(s string) (gsched.Level, error) {
-	switch s {
-	case "none":
-		return gsched.LevelNone, nil
-	case "useful":
-		return gsched.LevelUseful, nil
-	case "speculative":
-		return gsched.LevelSpeculative, nil
-	case "dup":
-		return gsched.LevelDup, nil
-	case "optimal":
-		return gsched.LevelOptimal, nil
-	}
-	return 0, fmt.Errorf("unknown level %q", s)
 }

@@ -5,23 +5,28 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"gsched"
 )
 
+// TestParseLevel: -level takes every name Level.String gives, the
+// server's too, and rejects the rest.
 func TestParseLevel(t *testing.T) {
-	for s, want := range map[string]gsched.Level{
-		"none":        gsched.LevelNone,
-		"useful":      gsched.LevelUseful,
-		"speculative": gsched.LevelSpeculative,
-	} {
-		got, err := parseLevel(s)
-		if err != nil || got != want {
-			t.Errorf("parseLevel(%q) = %v, %v", s, got, err)
+	path := filepath.Join(t.TempDir(), "prog.c")
+	if err := os.WriteFile(path, []byte(`int f(int a) { return a * 7; }`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	*machineF, *pipeline, *run, *dot, *lang = "rs6k", true, "", "", ""
+	defer func() { *level = "speculative" }()
+	for _, name := range []string{"none", "useful", "speculative", "dup", "optimal"} {
+		*level = name
+		if err := realMain(path); err != nil {
+			t.Errorf("-level %s: %v", name, err)
 		}
 	}
-	if _, err := parseLevel("bogus"); err == nil {
-		t.Error("bogus level accepted")
+	for _, bad := range []string{"", "bogus", "Speculative", "base", "level?"} {
+		*level = bad
+		if err := realMain(path); err == nil || !strings.Contains(err.Error(), "unknown level") {
+			t.Errorf("-level %q: got %v, want an unknown level error", bad, err)
+		}
 	}
 }
 

@@ -176,25 +176,24 @@ func SchedulePipeline(p *Program, opts Options, cfg PipelineConfig) (PipelineSta
 	return xform.RunProgram(p, opts, cfg)
 }
 
-// StreamConfig configures ScheduleStream; StreamResult reports what
-// flowed through it.
+// StreamConfig configures ScheduleStream: the scheduling options
+// (whose Parallelism is the worker count) and, when non-nil, the §6
+// pipeline configuration. StreamResult reports what flowed through it.
 type (
 	StreamConfig = stream.Config
 	StreamResult = stream.Result
 )
 
-// ErrDuplicateFunc is returned by ScheduleStream when the source
-// defines the same function twice; the materializing path (CompileC or
-// ParseAsm plus Schedule) resolves that case with last-definition-wins.
-var ErrDuplicateFunc = stream.ErrDuplicateFunc
-
 // ScheduleStream runs the streaming pipeline: parse lang ("c" or
 // "asm") source one function at a time, schedule functions
-// concurrently (cfg.Jobs workers), and write the scheduled assembly to
-// out (nil discards it) reassembled in source order. The bytes written
-// are identical to parse-everything → Schedule/SchedulePipeline →
-// PrintAsm at any Jobs setting, but peak memory stays proportional to
-// Jobs times the largest function instead of the whole program.
+// concurrently (cfg.Opts.Parallelism workers; a nil cfg.Pipeline means
+// Schedule, a non-nil one SchedulePipeline), and write the scheduled
+// assembly to out (nil discards it) reassembled in source order. The
+// bytes written are identical to parse-everything →
+// Schedule/SchedulePipeline → PrintAsm at any Parallelism, including
+// for units that define a function twice (the last definition wins, at
+// the first one's position), but peak memory stays proportional to
+// Parallelism times the largest function instead of the whole program.
 func ScheduleStream(ctx context.Context, lang, src string, cfg StreamConfig, out io.Writer) (StreamResult, error) {
 	d, err := stream.DialectFor(lang)
 	if err != nil {

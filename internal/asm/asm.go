@@ -20,6 +20,7 @@ import (
 	"io"
 	"strconv"
 	"strings"
+	"unicode"
 
 	"gsched/internal/ir"
 )
@@ -93,6 +94,16 @@ func (p *parser) parseData(line string) error {
 	s := p.prog.AddSym(fields[0], words)
 	s.Init = init
 	return nil
+}
+
+// funcName is the name a "func" header line defines ("" for none): the
+// first field beginFunc reads, found without splitting the line.
+func funcName(line string) string {
+	rest := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(line, "func ")), ":")
+	if i := strings.IndexFunc(rest, unicode.IsSpace); i >= 0 {
+		rest = rest[:i]
+	}
+	return rest
 }
 
 // beginFunc starts a new function from its header line. The caller

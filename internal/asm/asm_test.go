@@ -1,6 +1,7 @@
 package asm
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -177,5 +178,44 @@ func TestParamParsing(t *testing.T) {
 	f := p.Func("f")
 	if len(f.Params) != 2 || f.Params[0] != ir.GPR(3) || f.Params[1] != ir.GPR(7) {
 		t.Errorf("params = %v", f.Params)
+	}
+}
+
+// TestParseRedefinitions: a redefined name keeps its first definition's
+// position and takes its last definition's body; shadowed definitions
+// are still syntax-checked, with the error at their own line.
+func TestParseRedefinitions(t *testing.T) {
+	src := "func f r1:\n\tAI r2=r1,1\n\tRET r2\n" +
+		"func g:\n\tRET r0\n" +
+		"func f r1:\n\tRET r1\n" +
+		"func g:\n\tLI r1=3\n\tRET r1\n" +
+		"func h:\n\tCALL f,r0\n\tRET r0\n" +
+		"func f r1:\n\tAI r2=r1,9\n\tRET r2\n"
+	want := "func f r1:\n\tAI r2=r1,9\n\tRET r2\n" +
+		"func g:\n\tLI r1=3\n\tRET r1\n" +
+		"func h:\n\tCALL f,r0\n\tRET r0\n"
+	got, err := Parse(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantProg, err := Parse(want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if Print(got) != Print(wantProg) {
+		t.Errorf("got:\n%s\nwant:\n%s", Print(got), Print(wantProg))
+	}
+
+	for _, tc := range []struct {
+		src  string
+		line int
+	}{
+		{"func f:\n\tRET r0\nfunc f:\n\tBOOM\nfunc f:\n\tRET r1\n", 4}, // shadowed
+		{"func f:\n\tRET r0\nfunc g:\n\tRET r0\nfunc f:\n\tBOOM\n", 6}, // last, parsed at the first's place
+	} {
+		var pe *ParseError
+		if _, err := Parse(tc.src); !errors.As(err, &pe) || pe.Line != tc.line {
+			t.Errorf("%q: got %v, want a parse error at line %d", tc.src, err, tc.line)
+		}
 	}
 }

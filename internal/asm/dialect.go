@@ -24,13 +24,14 @@ type FuncReader interface {
 	// AddFunc it to Prog or drop it after use to bound memory.
 	Prog() *ir.Program
 
-	// ParseFunc parses and returns the next function definition, or
-	// io.EOF when the source is exhausted. A returned function that is
-	// the last definition of its name is fully validated (structure
-	// and call targets, resolved against every function name in the
-	// unit plus builtins). An earlier definition shadowed by a later
-	// one of the same name is returned syntax-checked only, mirroring
-	// Parse's last-definition-wins semantics.
+	// ParseFunc parses and returns the next function, or io.EOF when
+	// the source is exhausted. Returned functions are fully validated
+	// (structure and call targets, resolved against every function name
+	// in the unit plus builtins). A unit that defines a name more than
+	// once yields it once, at the position of its first definition,
+	// with the body of its last (what Program.AddFunc makes of the
+	// definitions in order); the shadowed definitions are syntax-checked
+	// only.
 	ParseFunc() (*ir.Func, error)
 }
 
@@ -60,21 +61,27 @@ type Reader struct {
 	header     string // pending unconsumed "func ..." line
 	headerLine int
 	haveHeader bool
-	names      map[string]struct{} // every function name in the unit
-	lastDef    map[string]int      // ordinal of the last definition per name
-	ordinal    int                 // ordinal of the next function definition
-	dups       []string            // names defined more than once, in first-duplicate order
+	defs       map[string]funcDef // every function name in the unit
+	ordinal    int                // ordinal of the next function definition
+}
+
+// funcDef locates the definitions of one function name: the ordinals of
+// its first and last, and the last one's header line with a scanner
+// positioned just after it.
+type funcDef struct {
+	first, last int
+	header      string
+	at          lineScanner
 }
 
 // NewReader opens src for streaming. The prescan parses data
-// directives (populating Prog().Syms in source order) and records the
-// function name set used for per-function call-target validation.
+// directives (populating Prog().Syms in source order) and locates every
+// function definition, for call-target validation and redefinitions.
 func NewReader(src string) (*Reader, error) {
 	r := &Reader{
-		p:       parser{prog: ir.NewProgram()},
-		sc:      lineScanner{src: src},
-		names:   make(map[string]struct{}),
-		lastDef: make(map[string]int),
+		p:    parser{prog: ir.NewProgram()},
+		sc:   lineScanner{src: src},
+		defs: make(map[string]funcDef),
 	}
 	if err := r.prescan(src); err != nil {
 		return nil, err
@@ -84,15 +91,6 @@ func NewReader(src string) (*Reader, error) {
 
 // Prog returns the program skeleton (symbols only; see FuncReader).
 func (r *Reader) Prog() *ir.Program { return r.p.prog }
-
-// FuncNames reports whether name is defined as a function in the unit.
-func (r *Reader) FuncNames() map[string]struct{} { return r.names }
-
-// Duplicates lists function names the unit defines more than once.
-// Parse resolves these with last-definition-wins; streaming drivers
-// check this up front, because a streaming printer cannot replace a
-// definition it has already emitted.
-func (r *Reader) Duplicates() []string { return r.dups }
 
 func (r *Reader) prescan(src string) error {
 	sc := lineScanner{src: src}
@@ -110,16 +108,13 @@ func (r *Reader) prescan(src string) error {
 				return err
 			}
 		case strings.HasPrefix(line, "func "):
-			rest := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(line, "func ")), ":")
-			if sp := strings.IndexAny(rest, " \t"); sp >= 0 {
-				rest = rest[:sp]
-			}
-			if rest != "" {
-				if _, seen := r.names[rest]; seen {
-					r.dups = append(r.dups, rest)
+			if name := funcName(line); name != "" {
+				d, seen := r.defs[name]
+				if !seen {
+					d.first = ord
 				}
-				r.names[rest] = struct{}{}
-				r.lastDef[rest] = ord
+				d.last, d.header, d.at = ord, line, sc
+				r.defs[name] = d
 			}
 			ord++
 		}
@@ -129,36 +124,66 @@ func (r *Reader) prescan(src string) error {
 // ParseFunc implements FuncReader.
 func (r *Reader) ParseFunc() (*ir.Func, error) {
 	p := &r.p
-	for !r.haveHeader {
-		raw, ok := r.sc.next()
-		if !ok {
-			return nil, io.EOF
-		}
-		line, _ := splitComment(raw)
-		if line == "" {
-			continue
-		}
-		p.line = r.sc.line
-		switch {
-		case strings.HasPrefix(line, "data "):
-			// Fully parsed by the prescan; skip here.
-		case strings.HasPrefix(line, "func "):
-			r.header, r.headerLine, r.haveHeader = line, r.sc.line, true
-		case strings.HasSuffix(line, ":") && !strings.ContainsAny(line, " \t"):
-			return nil, p.errf("label outside a function")
-		default:
-			return nil, p.errf("instruction outside a function")
-		}
-	}
-	p.line = r.headerLine
-	r.haveHeader = false
-	if err := p.beginFunc(r.header); err != nil {
-		return nil, err
-	}
-	ord := r.ordinal
-	r.ordinal++
 	for {
-		raw, ok := r.sc.next()
+		for !r.haveHeader {
+			raw, ok := r.sc.next()
+			if !ok {
+				return nil, io.EOF
+			}
+			line, _ := splitComment(raw)
+			if line == "" {
+				continue
+			}
+			p.line = r.sc.line
+			switch {
+			case strings.HasPrefix(line, "data "):
+				// Fully parsed by the prescan; skip here.
+			case strings.HasPrefix(line, "func "):
+				r.header, r.headerLine, r.haveHeader = line, r.sc.line, true
+			case strings.HasSuffix(line, ":") && !strings.ContainsAny(line, " \t"):
+				return nil, p.errf("label outside a function")
+			default:
+				return nil, p.errf("instruction outside a function")
+			}
+		}
+		ord := r.ordinal
+		r.ordinal++
+		f, next, nextLine, err := r.parseDef(&r.sc, r.header, r.headerLine)
+		if err != nil {
+			return nil, err
+		}
+		r.header, r.headerLine, r.haveHeader = next, nextLine, next != ""
+		d := r.defs[f.Name]
+		if ord != d.first {
+			continue // a redefinition: the name was yielded at its first
+		}
+		if ord != d.last {
+			// Shadowed, so only syntax-checked: yield the last
+			// definition's body in its place.
+			at := d.at
+			if f, _, _, err = r.parseDef(&at, d.header, at.line); err != nil {
+				return nil, err
+			}
+		}
+		if err := r.validate(f); err != nil {
+			return nil, err
+		}
+		return f, nil
+	}
+}
+
+// parseDef parses the function whose header line is header (at line
+// headerLine) and whose body follows on sc, up to the next "func" line
+// or the end of the source. It returns that "func" line and its number
+// ("" at the end).
+func (r *Reader) parseDef(sc *lineScanner, header string, headerLine int) (f *ir.Func, next string, nextLine int, err error) {
+	p := &r.p
+	p.line = headerLine
+	if err := p.beginFunc(header); err != nil {
+		return nil, "", 0, err
+	}
+	for next == "" {
+		raw, ok := sc.next()
 		if !ok {
 			break
 		}
@@ -166,32 +191,24 @@ func (r *Reader) ParseFunc() (*ir.Func, error) {
 		if line == "" {
 			continue
 		}
-		p.line, p.comment = r.sc.line, comment
+		p.line, p.comment = sc.line, comment
 		switch {
 		case strings.HasPrefix(line, "data "):
 			// Prescanned; a data directive does not end the function.
 		case strings.HasPrefix(line, "func "):
-			r.header, r.headerLine, r.haveHeader = line, r.sc.line, true
+			next, nextLine = line, sc.line
 		case strings.HasSuffix(line, ":") && !strings.ContainsAny(line, " \t"):
 			p.b = p.f.NewBlock(strings.TrimSuffix(line, ":"))
 		default:
 			if err := p.parseInstr(line); err != nil {
-				return nil, err
+				return nil, "", 0, err
 			}
 		}
-		if r.haveHeader {
-			break
-		}
 	}
-	f := p.f
+	f = p.f
 	p.f, p.b = nil, nil
 	f.ReindexBlocks()
-	if r.lastDef[f.Name] == ord {
-		if err := r.validate(f); err != nil {
-			return nil, err
-		}
-	}
-	return f, nil
+	return f, next, nextLine, nil
 }
 
 // validate applies the same checks Program.Validate would: structural
@@ -206,7 +223,7 @@ func (r *Reader) validate(f *ir.Func) error {
 		if err != nil || i.Op != ir.OpCall {
 			return
 		}
-		if _, ok := r.names[i.Target]; !ok && !ir.IsBuiltin(i.Target) {
+		if _, ok := r.defs[i.Target]; !ok && !ir.IsBuiltin(i.Target) {
 			err = fmt.Errorf("asm: %s: call to undefined function %q", f.Name, i.Target)
 		}
 	})

@@ -44,6 +44,9 @@ func FuzzParseAsm(f *testing.F) {
 		sb.WriteString("maze.b48:\n\tRET r2\n")
 		f.Add(sb.String())
 	}
+	// Redefinitions: the reader yields each name once, at its first
+	// definition, with the body of its last.
+	f.Add("func f r1:\n\tAI r2=r1,1\n\tRET r2\nfunc g:\n\tCALL f,r0\n\tRET r0\nfunc f r1:\n\tRET r1\n")
 	f.Fuzz(func(t *testing.T, src string) {
 		prog, err := Parse(src)
 		if err != nil {

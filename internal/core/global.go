@@ -85,13 +85,8 @@ type regionScheduler struct {
 	// motions (§5.3: "this type of information has to be updated
 	// dynamically"). It is computed lazily: liveStale marks it out of
 	// date, and liveness() reruns the analysis at the next query.
-	// When scope is non-nil the analysis is restricted to the scope's
-	// blocks against the frozen baseline liveBase (region-parallel
-	// waves; see ScheduleRegionTree).
 	live      *dataflow.Liveness
 	liveStale bool
-	scope     []bool
-	liveBase  *dataflow.Liveness
 	// processed marks blocks whose sessions have completed (or that
 	// were pinned and passed) in this region walk, indexed by block.
 	processed []bool
@@ -686,7 +681,7 @@ func (rs *regionScheduler) refreshLiveness() {
 
 func (rs *regionScheduler) liveness() *dataflow.Liveness {
 	if rs.liveStale || rs.live == nil {
-		rs.live = rs.pl.live.ComputeScoped(rs.f, rs.g, rs.scope, rs.liveBase)
+		rs.live = rs.pl.live.Compute(rs.f, rs.g)
 		rs.liveStale = false
 	}
 	return rs.live

@@ -12,6 +12,7 @@
 package core
 
 import (
+	"fmt"
 	"runtime"
 	"time"
 
@@ -67,6 +68,16 @@ func (l Level) String() string {
 		return "optimal"
 	}
 	return "level?"
+}
+
+// ParseLevel is the inverse of Level.String.
+func ParseLevel(s string) (Level, error) {
+	for l := LevelNone; l <= LevelOptimal; l++ {
+		if l.String() == s {
+			return l, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown level %q (want none, useful, speculative, dup or optimal)", s)
 }
 
 // Options configures the scheduler. The zero value is not useful; start
@@ -138,10 +149,12 @@ type Options struct {
 	MaxRegionInstrs int
 	MaxRegionLevels int
 
-	// Parallelism schedules the functions of a program concurrently on
-	// up to this many workers (ScheduleProgram and the xform pipeline
-	// driver). Values <= 1 schedule sequentially. Functions are
-	// independent, so the emitted schedules and merged Stats are
+	// Parallelism is the one worker count: every program driver
+	// (ScheduleProgram, the xform pipeline's RunProgram, the streaming
+	// driver, all on RunFuncs) schedules up to this many functions
+	// concurrently, and each function is scheduled on one goroutine,
+	// region by region. Values <= 1 schedule sequentially. Functions
+	// are independent, so the emitted schedules and merged Stats are
 	// identical at every setting; only wall-clock time changes.
 	Parallelism int
 
@@ -211,9 +224,10 @@ func (vb VerifyBracket) Check(f *ir.Func, rules verify.Rules, trace *Trace) erro
 }
 
 // Defaults returns the configuration used for the paper's experiments at
-// the given level. Functions are scheduled concurrently (one worker per
-// CPU); this cannot change any schedule — see Parallelism — so it is on
-// by default. Set Parallelism to 1 for a strictly sequential run.
+// the given level. Functions are scheduled concurrently, on one worker
+// per CPU in total; this cannot change any schedule — see Parallelism —
+// so it is on by default. Set Parallelism to 1 for a strictly sequential
+// run.
 func Defaults(m *machine.Desc, level Level) Options {
 	return Options{
 		Machine:         m,

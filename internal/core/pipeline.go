@@ -104,11 +104,9 @@ func (pl *pipeline) newCand() *candidate {
 	return c
 }
 
-// scheduleRegion schedules one region on this pipeline's arenas. scope
-// and base carry the liveness scoping of region-parallel waves (nil for
-// whole-function liveness).
+// scheduleRegion schedules one region on this pipeline's arenas.
 func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region,
-	opts *Options, st *Stats, scope []bool, base *dataflow.Liveness) error {
+	opts *Options, st *Stats) error {
 
 	donePDG := opts.Trace.TimePhase(PhasePDG)
 	p, err := pdg.BuildWith(pl.ddgb, f, g, li, r, opts.Machine)
@@ -136,8 +134,6 @@ func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r
 		pos:       pl.pos,
 		own:       pl.own,
 		processed: pl.processed,
-		scope:     scope,
-		liveBase:  base,
 	}
 	doneRun := opts.Trace.TimePhase(PhaseRegion)
 	rs.run()
@@ -155,8 +151,8 @@ func (pl *pipeline) scheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r
 // code first"). Ranks are region-relative: candidates compared in a
 // session all live in the region, and region blocks are visited in
 // layout order, so relative order — the only thing the tie-break reads —
-// matches whole-function positions while never reading blocks outside
-// the region (which a concurrent wave may be mutating).
+// matches whole-function positions while walking only the region's
+// blocks.
 func regionPositions(pos []int, f *ir.Func, r *cfg.Region) []int {
 	pos = grown(pos, f.NumInstrIDs())
 	n := 0
@@ -170,18 +166,11 @@ func regionPositions(pos []int, f *ir.Func, r *cfg.Region) []int {
 }
 
 // ScheduleRegionTree schedules every region of the tree selected by keep
-// (given the region and its nesting height), children before parents,
-// honouring the size caps in opts. A nil keep selects regions below
-// opts.MaxRegionLevels, counting the rest as skipped (the §6
-// configuration used by ScheduleFunc); a non-nil keep makes skipping
-// silent, as the xform pipeline's pass filters expect.
-//
-// With opts.Parallelism > 1, top-level subtrees of the region tree are
-// partitioned into groups with pairwise-disjoint register footprints and
-// the groups are scheduled concurrently; the root region runs after all
-// of them. Sequential runs use the identical partition and per-group
-// scoped liveness, so the schedule is byte-identical at any parallelism
-// setting.
+// (given the region and its nesting height), children before parents
+// and the root last, honouring the size caps in opts. A nil keep
+// selects regions below opts.MaxRegionLevels, counting the rest as
+// skipped (the §6 configuration used by ScheduleFunc); a non-nil keep
+// makes skipping silent, as the xform pipeline's pass filters expect.
 func ScheduleRegionTree(ctx context.Context, f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo,
 	opts *Options, st *Stats, keep func(r *cfg.Region, height int) bool) error {
 
@@ -194,10 +183,13 @@ func scheduleRegionTree(ctx context.Context, pl *pipeline, f *ir.Func, g *cfg.Gr
 	opts *Options, st *Stats, keep func(r *cfg.Region, height int) bool) error {
 
 	heights := cfg.RegionHeights(li.Root)
-
-	// scheduleOne applies the eligibility filters and size caps to one
-	// region and schedules it on worker pipeline wpl.
-	scheduleOne := func(wpl *pipeline, r *cfg.Region, wst *Stats, scope []bool, base *dataflow.Liveness) error {
+	var walk func(r *cfg.Region) error
+	walk = func(r *cfg.Region) error {
+		for _, in := range r.Inner {
+			if err := walk(in); err != nil {
+				return err
+			}
+		}
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("core: schedule cancelled: %w", err)
 		}
@@ -207,11 +199,11 @@ func scheduleRegionTree(ctx context.Context, pl *pipeline, f *ir.Func, g *cfg.Gr
 				return nil
 			}
 		} else if h >= opts.MaxRegionLevels {
-			wst.RegionsSkipped++
+			st.RegionsSkipped++
 			return nil
 		}
 		if opts.MaxRegionBlocks > 0 && len(r.Blocks) > opts.MaxRegionBlocks {
-			wst.RegionsSkipped++
+			st.RegionsSkipped++
 			return nil
 		}
 		if opts.MaxRegionInstrs > 0 {
@@ -220,127 +212,14 @@ func scheduleRegionTree(ctx context.Context, pl *pipeline, f *ir.Func, g *cfg.Gr
 				n += len(f.Blocks[b].Instrs)
 			}
 			if n > opts.MaxRegionInstrs {
-				wst.RegionsSkipped++
+				st.RegionsSkipped++
 				return nil
 			}
 		}
-		if err := wpl.scheduleRegion(f, g, li, r, opts, wst, scope, base); err != nil {
-			wst.RegionsSkipped++
+		if err := pl.scheduleRegion(f, g, li, r, opts, st); err != nil {
+			st.RegionsSkipped++
 		}
 		return nil
 	}
-	// scheduleSubtree schedules the regions of the tree rooted at r,
-	// children first, sequentially.
-	var scheduleSubtree func(wpl *pipeline, r *cfg.Region, wst *Stats, scope []bool, base *dataflow.Liveness) error
-	scheduleSubtree = func(wpl *pipeline, r *cfg.Region, wst *Stats, scope []bool, base *dataflow.Liveness) error {
-		for _, in := range r.Inner {
-			if err := scheduleSubtree(wpl, in, wst, scope, base); err != nil {
-				return err
-			}
-		}
-		return scheduleOne(wpl, r, wst, scope, base)
-	}
-
-	subtrees := li.Root.Inner
-	if len(subtrees) > 0 {
-		comps := partitionSubtrees(f, subtrees)
-		// The frozen liveness baseline every group's scoped analysis
-		// hangs off (see dataflow.ComputeScoped). Computed before any
-		// motion, on the walker's own pipeline, whose analyzer is not
-		// reused until the root region below.
-		base := pl.live.Compute(f, g)
-		scopes := make([][]bool, len(comps))
-		for ci, comp := range comps {
-			scope := make([]bool, len(f.Blocks))
-			for _, si := range comp {
-				for _, b := range subtrees[si].Blocks {
-					scope[b] = true
-				}
-			}
-			scopes[ci] = scope
-		}
-		stats := make([]Stats, len(comps))
-		errs := make([]error, len(comps))
-		runFuncsParallel(len(comps), opts.Parallelism, func(ci int) {
-			wpl := getPipeline()
-			defer putPipeline(wpl)
-			for _, si := range comps[ci] {
-				if errs[ci] = scheduleSubtree(wpl, subtrees[si], &stats[ci], scopes[ci], base); errs[ci] != nil {
-					return
-				}
-			}
-		})
-		for ci := range comps {
-			if errs[ci] != nil {
-				return errs[ci]
-			}
-			st.Add(stats[ci])
-		}
-	}
-	// The root region sees the whole function, so it runs alone with
-	// unscoped liveness, after every subtree has settled.
-	return scheduleOne(pl, li.Root, st, nil, nil)
-}
-
-// partitionSubtrees groups the top-level subtrees of the region tree
-// into components whose register footprints are pairwise disjoint
-// across components (union-find over touch-set intersection). Subtrees
-// in different components cannot observe each other's motions through
-// any liveness query the scheduler makes, so components are safe to
-// schedule concurrently; within a component original sibling order is
-// preserved. The grouping is a pure function of the untouched layout,
-// so every parallelism setting sees the same partition.
-func partitionSubtrees(f *ir.Func, subtrees []*cfg.Region) [][]int {
-	k := len(subtrees)
-	if k == 1 {
-		return [][]int{{0}}
-	}
-	touch := make([]*dataflow.RegSet, k)
-	var buf [8]ir.Reg
-	for i, r := range subtrees {
-		s := &dataflow.RegSet{}
-		for _, bi := range r.Blocks {
-			for _, ins := range f.Blocks[bi].Instrs {
-				for _, rg := range ins.Uses(buf[:0]) {
-					s.Add(rg)
-				}
-				for _, rg := range ins.Defs(buf[:0]) {
-					s.Add(rg)
-				}
-			}
-		}
-		touch[i] = s
-	}
-	parent := make([]int, k)
-	for i := range parent {
-		parent[i] = i
-	}
-	var find func(int) int
-	find = func(x int) int {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for i := 0; i < k; i++ {
-		for j := i + 1; j < k; j++ {
-			if find(i) != find(j) && touch[i].Intersects(touch[j]) {
-				parent[find(j)] = find(i)
-			}
-		}
-	}
-	var comps [][]int
-	compOf := make(map[int]int, k)
-	for i := 0; i < k; i++ {
-		root := find(i)
-		ci, ok := compOf[root]
-		if !ok {
-			ci = len(comps)
-			compOf[root] = ci
-			comps = append(comps, nil)
-		}
-		comps[ci] = append(comps[ci], i)
-	}
-	return comps
+	return walk(li.Root)
 }

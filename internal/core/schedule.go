@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"gsched/internal/cfg"
 	"gsched/internal/ir"
@@ -83,10 +82,9 @@ func ScheduleFuncCtx(ctx context.Context, f *ir.Func, opts Options) (Stats, erro
 
 // ScheduleProgram schedules every function of p. Functions are
 // independent compilation units, so with opts.Parallelism > 1 they are
-// scheduled concurrently by a bounded worker pool. Results are
-// deterministic either way: each function's schedule depends only on
-// that function, and per-function Stats are merged in program order
-// after all workers finish.
+// scheduled concurrently by RunFuncs. Results are deterministic either
+// way: each function's schedule depends only on that function, and
+// per-function Stats are merged in program order.
 func ScheduleProgram(p *ir.Program, opts Options) (Stats, error) {
 	return ScheduleProgramCtx(context.Background(), p, opts)
 }
@@ -95,64 +93,23 @@ func ScheduleProgram(p *ir.Program, opts Options) (Stats, error) {
 // timeouts and cancellation propagate into every function's schedule.
 func ScheduleProgramCtx(ctx context.Context, p *ir.Program, opts Options) (Stats, error) {
 	var st Stats
-	if opts.Parallelism > 1 && len(p.Funcs) > 1 {
-		stats := make([]Stats, len(p.Funcs))
-		errs := make([]error, len(p.Funcs))
-		runFuncsParallel(len(p.Funcs), opts.Parallelism, func(i int) {
-			stats[i], errs[i] = ScheduleFuncCtx(ctx, p.Funcs[i], opts)
-		})
-		for i, err := range errs {
-			if err != nil {
-				return st, fmt.Errorf("%s: %w", p.Funcs[i].Name, err)
-			}
-			st.Add(stats[i])
-		}
-		return st, nil
-	}
-	for _, f := range p.Funcs {
-		s, err := ScheduleFuncCtx(ctx, f, opts)
-		if err != nil {
-			return st, fmt.Errorf("%s: %w", f.Name, err)
-		}
+	err := RunFuncs(ctx, opts.Parallelism, FuncsOf(p), func(f *ir.Func) (Stats, error) {
+		return ScheduleNamed(ctx, f, opts)
+	}, func(s Stats) error {
 		st.Add(s)
-	}
-	return st, nil
+		return nil
+	})
+	return st, err
 }
 
-// RunFuncsParallel runs fn(i) for every i in [0, n) on min(workers, n)
-// goroutines and waits for all of them. It is the worker pool shared by
-// ScheduleProgram and the xform pipeline driver; fn must only touch
-// state owned by index i.
-func RunFuncsParallel(n, workers int, fn func(i int)) {
-	runFuncsParallel(n, workers, fn)
-}
-
-func runFuncsParallel(n, workers int, fn func(i int)) {
-	if workers > n {
-		workers = n
+// ScheduleNamed is ScheduleFuncCtx with the function's name on its
+// error, the labelling every program driver reports.
+func ScheduleNamed(ctx context.Context, f *ir.Func, opts Options) (Stats, error) {
+	st, err := ScheduleFuncCtx(ctx, f, opts)
+	if err != nil {
+		err = fmt.Errorf("%s: %w", f.Name, err)
 	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	next := make(chan int)
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				fn(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	return st, err
 }
 
 // ScheduleRegion schedules one region with the global framework, on a
@@ -162,5 +119,5 @@ func runFuncsParallel(n, workers int, fn func(i int)) {
 func ScheduleRegion(f *ir.Func, g *cfg.Graph, li *cfg.LoopInfo, r *cfg.Region, opts *Options, st *Stats) error {
 	pl := getPipeline()
 	defer putPipeline(pl)
-	return pl.scheduleRegion(f, g, li, r, opts, st, nil, nil)
+	return pl.scheduleRegion(f, g, li, r, opts, st)
 }

@@ -77,23 +77,6 @@ func (s *RegSet) UnionInto(o *RegSet) bool {
 	return changed
 }
 
-// Intersects reports whether s and o share a member.
-func (s *RegSet) Intersects(o *RegSet) bool {
-	for c := 0; c < ir.NumClasses; c++ {
-		a, b := s.bits[c], o.bits[c]
-		n := len(a)
-		if len(b) < n {
-			n = len(b)
-		}
-		for w := 0; w < n; w++ {
-			if a[w]&b[w] != 0 {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Copy returns an independent copy of s.
 func (s *RegSet) Copy() *RegSet {
 	c := &RegSet{}
@@ -273,156 +256,6 @@ func (a *Analyzer) Compute(f *ir.Func, g *cfg.Graph) *Liveness {
 		if changed {
 			for _, p := range g.Preds[i] {
 				if !inWork[p] {
-					inWork[p] = true
-					work = append(work, p)
-				}
-			}
-		}
-	}
-	return lv
-}
-
-// ComputeScoped runs the analysis over only the member blocks of f,
-// treating every non-member block as frozen: a member's successor edge
-// into a non-member block contributes base.In of that block, and the
-// returned Liveness aliases base's sets for every non-member index, so
-// queries about blocks outside the scope see the frozen baseline.
-//
-// This is the region-parallel variant of Compute: when disjoint subtrees
-// of the region tree are scheduled concurrently, each worker recomputes
-// liveness for its own blocks only, against a baseline computed once
-// before any motion. Scheduling only ever queries liveness of registers
-// touched by its own region's instructions, and legal motions inside
-// other (register-disjoint) scopes cannot change where such a register
-// is live, so the frozen boundary values stay exact for every query the
-// scheduler makes. base must outlive the returned Liveness and must not
-// be recomputed while it is in use.
-func (a *Analyzer) ComputeScoped(f *ir.Func, g *cfg.Graph, member []bool, base *Liveness) *Liveness {
-	if member == nil {
-		return a.Compute(f, g)
-	}
-	n := len(f.Blocks)
-	var words [ir.NumClasses]int
-	perSet := 0
-	for c := 0; c < ir.NumClasses; c++ {
-		words[c] = (f.NumRegs(ir.RegClass(c)) + 63) / 64
-		perSet += words[c]
-	}
-	if need := 4 * n * perSet; cap(a.backing) < need {
-		a.backing = make([]uint64, need)
-	} else {
-		a.backing = a.backing[:need]
-		clear(a.backing)
-	}
-	if cap(a.sets) < 4*n {
-		a.sets = make([]RegSet, 4*n)
-	}
-	sets := a.sets[:4*n]
-	backing := a.backing
-	for i := range sets {
-		for c := 0; c < ir.NumClasses; c++ {
-			sets[i].bits[c] = backing[:words[c]:words[c]]
-			backing = backing[words[c]:]
-		}
-	}
-	if cap(a.lv.In) < n {
-		a.lv.In = make([]*RegSet, n)
-		a.lv.Out = make([]*RegSet, n)
-	}
-	lv := &a.lv
-	lv.In, lv.Out = lv.In[:n], lv.Out[:n]
-	var scratchBuf [8]ir.Reg
-	scratch := scratchBuf[:0]
-	for i, b := range f.Blocks {
-		if !member[i] {
-			lv.In[i], lv.Out[i] = base.In[i], base.Out[i]
-			continue
-		}
-		in, out := &sets[4*i], &sets[4*i+1]
-		use, def := &sets[4*i+2], &sets[4*i+3]
-		lv.In[i], lv.Out[i] = in, out
-		for _, ins := range b.Instrs {
-			scratch = ins.Uses(scratch[:0])
-			for _, r := range scratch {
-				if !def.Has(r) {
-					use.Add(r)
-				}
-			}
-			scratch = ins.Defs(scratch[:0])
-			for _, r := range scratch {
-				def.Add(r)
-			}
-		}
-	}
-	// Keep every member row (and the frozen base rows they union from)
-	// at one width per class, so the word-wise fixpoint below never
-	// indexes past a slice.
-	for c := 0; c < ir.NumClasses; c++ {
-		maxw := words[c]
-		for i := range f.Blocks {
-			if member[i] {
-				for k := 0; k < 4; k++ {
-					if w := len(sets[4*i+k].bits[c]); w > maxw {
-						maxw = w
-					}
-				}
-			} else {
-				if w := len(base.In[i].bits[c]); w > maxw {
-					maxw = w
-				}
-			}
-		}
-		if maxw != words[c] {
-			for i := range f.Blocks {
-				if !member[i] {
-					continue
-				}
-				for k := 0; k < 4; k++ {
-					s := &sets[4*i+k]
-					for len(s.bits[c]) < maxw {
-						s.bits[c] = append(s.bits[c], 0)
-					}
-				}
-			}
-		}
-	}
-	if cap(a.inWork) < n {
-		a.inWork = make([]bool, n)
-		a.work = make([]int, n)
-	}
-	inWork, work := a.inWork[:n], a.work[:n]
-	clear(inWork)
-	work = work[:0]
-	for i := 0; i < n; i++ {
-		b := n - 1 - i
-		if member[b] {
-			work = append(work, b)
-			inWork[b] = true
-		}
-	}
-	for len(work) > 0 {
-		i := work[len(work)-1]
-		work = work[:len(work)-1]
-		inWork[i] = false
-		out := lv.Out[i]
-		for _, s := range g.Succs[i] {
-			out.UnionInto(lv.In[s])
-		}
-		in, use, def := lv.In[i], &sets[4*i+2], &sets[4*i+3]
-		changed := false
-		for c := 0; c < ir.NumClasses; c++ {
-			ib, ob, ub, db := in.bits[c], out.bits[c], use.bits[c], def.bits[c]
-			for w := range ib {
-				v := ub[w] | (ob[w] &^ db[w])
-				if v&^ib[w] != 0 {
-					ib[w] |= v
-					changed = true
-				}
-			}
-		}
-		if changed {
-			for _, p := range g.Preds[i] {
-				if member[p] && !inWork[p] {
 					inWork[p] = true
 					work = append(work, p)
 				}

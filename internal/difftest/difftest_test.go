@@ -8,6 +8,7 @@ import (
 
 	"gsched/internal/asm"
 	"gsched/internal/core"
+	"gsched/internal/machine"
 )
 
 // TestDiffLattice is the acceptance test for the differential engine:
@@ -148,5 +149,26 @@ func TestLatticeShape(t *testing.T) {
 	// Distinct seeds per machine: no two machines sweep the same policy.
 	if len(polSrcs) != polCells {
 		t.Errorf("only %d distinct policies across %d policy cells", len(polSrcs), polCells)
+	}
+}
+
+// TestScheduleRecoverCatchesSchedulerPanic: a panic raised inside
+// scheduling (here the session convergence guard, tripped by a machine
+// with no functional units) reaches scheduleRecover as an error at any
+// Parallelism, instead of killing the process from a driver goroutine.
+func TestScheduleRecoverCatchesSchedulerPanic(t *testing.T) {
+	const src = "func f r1 r2:\nentry:\n\tA r3=r1,r2\n\tA r4=r3,r1\n\tRET r4\n" +
+		"func g r1:\nentry:\n\tA r2=r1,r1\n\tRET r2\n"
+	for _, par := range []int{1, 4} {
+		p, err := asm.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opts := core.Defaults(&machine.Desc{Name: "no-units"}, core.LevelSpeculative)
+		opts.Parallelism = par
+		err = scheduleRecover(p, opts)
+		if err == nil || !strings.Contains(err.Error(), "scheduler panic: core: scheduling session") {
+			t.Errorf("Parallelism=%d: err = %v, want the recovered convergence panic", par, err)
+		}
 	}
 }

@@ -296,21 +296,14 @@ func resolve(req *Request, allowPanic bool) (*job, error) {
 // parseLevelName maps the wire-format level name (empty = speculative)
 // onto core.Level.
 func parseLevelName(level string) (core.Level, error) {
-	switch level {
-	case "":
+	if level == "" {
 		return core.LevelSpeculative, nil
-	case "none":
-		return core.LevelNone, nil
-	case "useful":
-		return core.LevelUseful, nil
-	case "speculative":
-		return core.LevelSpeculative, nil
-	case "dup":
-		return core.LevelDup, nil
-	case "optimal":
-		return core.LevelOptimal, nil
 	}
-	return 0, badf("unknown level %q (want none, useful, speculative, dup or optimal)", level)
+	lv, err := core.ParseLevel(level)
+	if err != nil {
+		return 0, badf("%v", err)
+	}
+	return lv, nil
 }
 
 func setIf[T any](dst *T, src *T) {

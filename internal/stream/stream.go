@@ -1,23 +1,21 @@
 // Package stream runs the whole per-function tool chain — parse,
 // schedule, verify, print — as one overlapped pipeline over a
 // FuncReader, instead of barrier-per-stage over a materialized
-// program. Functions flow through a bounded worker pool as the
-// front-end produces them; a single emitter reassembles the output in
-// source order, so the bytes written are identical to
+// program. Functions flow through core.RunFuncs, the program driver, as
+// the front-end produces them; its single emitter reassembles the
+// output in source order, so the bytes written are identical to
 //
 //	parse everything; ScheduleProgram/RunProgram; asm.Print
 //
-// at any Jobs setting, while peak memory stays proportional to
-// Jobs · (largest function), not to the program (plus the source text
-// itself, which callers hold in one string).
+// at any Opts.Parallelism, while peak memory stays proportional to
+// Parallelism · (largest function), not to the program (plus the
+// source text itself, which callers hold in one string).
 package stream
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
-	"sync"
 
 	"gsched/internal/asm"
 	"gsched/internal/core"
@@ -28,17 +26,15 @@ import (
 
 // Config selects what runs on each function.
 type Config struct {
-	// Opts are the scheduling options applied to every function.
-	Opts core.Options
-	// Pipeline configures the §6 transform pipeline; used when
-	// UsePipeline is set (xform.RunCtx per function instead of
-	// core.ScheduleFuncCtx).
-	Pipeline    xform.Config
-	UsePipeline bool
-	// Jobs is the number of functions scheduled concurrently
-	// (min 1). Output bytes and merged stats are identical at any
+	// Opts are the scheduling options applied to every function;
+	// Opts.Parallelism is the number of functions scheduled
+	// concurrently. Output bytes and merged stats are identical at any
 	// setting.
-	Jobs int
+	Opts core.Options
+	// Pipeline, when non-nil, configures the §6 transform pipeline
+	// (xform.RunCtx per function); nil means plain scheduling
+	// (core.ScheduleFuncCtx).
+	Pipeline *xform.Config
 }
 
 // Result aggregates what flowed through the pipeline.
@@ -47,13 +43,6 @@ type Result struct {
 	Funcs  int         // functions scheduled
 	Instrs int         // input instructions (counted before scheduling)
 }
-
-// ErrDuplicateFunc reports a source unit that defines the same
-// function twice. The materializing front-end resolves this with
-// last-definition-wins, but a streaming printer cannot (the earlier
-// definition's position would already be emitted), so the driver
-// refuses; callers may fall back to the non-streaming path.
-var ErrDuplicateFunc = errors.New("stream: duplicate function definition")
 
 type cDialect struct{}
 
@@ -80,15 +69,12 @@ func DialectFor(lang string) (asm.Dialect, error) {
 	return nil, fmt.Errorf("stream: unknown language %q", lang)
 }
 
-// task carries one function through the pipeline. The worker fills st,
-// buf, and err, then closes done; the emitter consumes tasks strictly
-// in source order.
-type task struct {
-	f    *ir.Func
-	st   xform.Stats
-	buf  []byte
-	err  error
-	done chan struct{}
+// funcOut is one function after scheduling: its stats, its input size
+// and, when there is an output, its printed text.
+type funcOut struct {
+	st     xform.Stats
+	instrs int
+	buf    []byte
 }
 
 // Schedule streams src through parse → schedule → verify → print,
@@ -101,23 +87,9 @@ type task struct {
 // error of the earliest function in source order is returned.
 func Schedule(ctx context.Context, d asm.Dialect, src string, cfg Config, out io.Writer) (Result, error) {
 	var res Result
-	jobs := cfg.Jobs
-	if jobs < 1 {
-		jobs = 1
-	}
-
 	r, err := d.Open(src)
 	if err != nil {
 		return res, err
-	}
-	// Readers that index definitions up front report duplicates here,
-	// before any output is written, so callers can fall back to the
-	// materializing path cleanly. The per-function check below remains
-	// as a safety net for dialects without the prescan.
-	if dd, ok := r.(interface{ Duplicates() []string }); ok {
-		if dups := dd.Duplicates(); len(dups) > 0 {
-			return res, fmt.Errorf("%w: %q", ErrDuplicateFunc, dups[0])
-		}
 	}
 	if out != nil {
 		var buf []byte
@@ -130,107 +102,27 @@ func Schedule(ctx context.Context, d asm.Dialect, src string, cfg Config, out io
 			}
 		}
 	}
-
-	work := make(chan *task, jobs)
-	order := make(chan *task, 2*jobs) // bounds functions in flight
-	abort := make(chan struct{})      // closed by the emitter on first error
-
-	var wg sync.WaitGroup
-	wg.Add(jobs)
-	for w := 0; w < jobs; w++ {
-		go func() {
-			defer wg.Done()
-			for t := range work {
-				t.st, t.err = scheduleOne(ctx, t.f, &cfg)
-				if t.err == nil && out != nil {
-					t.buf = t.f.AppendString(t.buf)
-				}
-				close(t.done)
-			}
-		}()
-	}
-
-	var emitErr error
-	emitDone := make(chan struct{})
-	go func() {
-		defer close(emitDone)
-		for t := range order {
-			<-t.done
-			if emitErr != nil {
-				continue // draining after failure
-			}
-			if t.err != nil {
-				emitErr = t.err
-				close(abort)
-				continue
-			}
-			res.Stats.Stats.Add(t.st.Stats)
-			res.Stats.LoopsUnrolled += t.st.LoopsUnrolled
-			res.Stats.LoopsRotated += t.st.LoopsRotated
-			res.Stats.TailDuplicated += t.st.TailDuplicated
-			if out != nil {
-				if _, err := out.Write(t.buf); err != nil {
-					emitErr = err
-					close(abort)
-				}
-			}
+	err = core.RunFuncs(ctx, cfg.Opts.Parallelism, r.ParseFunc, func(f *ir.Func) (funcOut, error) {
+		fo := funcOut{instrs: f.NumInstrs()}
+		var err error
+		if cfg.Pipeline != nil {
+			fo.st, err = xform.RunCtx(ctx, f, cfg.Opts, *cfg.Pipeline)
+		} else {
+			fo.st.Stats, err = core.ScheduleNamed(ctx, f, cfg.Opts)
 		}
-	}()
-
-	seen := make(map[string]struct{})
-	var parseErr error
-parse:
-	for {
-		f, err := r.ParseFunc()
-		if err == io.EOF {
-			break
+		if err == nil && out != nil {
+			fo.buf = f.AppendString(nil)
 		}
-		if err != nil {
-			parseErr = err
-			break
-		}
-		if _, dup := seen[f.Name]; dup {
-			parseErr = fmt.Errorf("%w: %q", ErrDuplicateFunc, f.Name)
-			break
-		}
-		seen[f.Name] = struct{}{}
+		return fo, err
+	}, func(fo funcOut) error {
+		res.Stats.Add(fo.st)
 		res.Funcs++
-		res.Instrs += f.NumInstrs()
-		t := &task{f: f, done: make(chan struct{})}
-		select {
-		case order <- t:
-		case <-abort:
-			break parse
+		res.Instrs += fo.instrs
+		if out == nil {
+			return nil
 		}
-		select {
-		case work <- t:
-		case <-abort:
-			// The emitter will still wait on this task; resolve it.
-			close(t.done)
-			break parse
-		}
-	}
-	close(work)
-	close(order)
-	wg.Wait()
-	<-emitDone
-
-	if parseErr != nil {
-		return res, parseErr
-	}
-	return res, emitErr
-}
-
-func scheduleOne(ctx context.Context, f *ir.Func, cfg *Config) (xform.Stats, error) {
-	if cfg.UsePipeline {
-		return xform.RunCtx(ctx, f, cfg.Opts, cfg.Pipeline)
-	}
-	var st xform.Stats
-	var err error
-	st.Stats, err = core.ScheduleFuncCtx(ctx, f, cfg.Opts)
-	if err != nil {
-		// Match ScheduleProgram's error labelling.
-		err = fmt.Errorf("%s: %w", f.Name, err)
-	}
-	return st, err
+		_, err := out.Write(fo.buf)
+		return err
+	})
+	return res, err
 }

@@ -3,7 +3,6 @@ package stream
 import (
 	"bytes"
 	"context"
-	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -54,8 +53,8 @@ func oldBytes(t *testing.T, src, lang string, cfg Config) (string, xform.Stats) 
 	p := materialize(t, src, lang)
 	var st xform.Stats
 	var err error
-	if cfg.UsePipeline {
-		st, err = xform.RunProgram(p, cfg.Opts, cfg.Pipeline)
+	if cfg.Pipeline != nil {
+		st, err = xform.RunProgram(p, cfg.Opts, *cfg.Pipeline)
 	} else {
 		st.Stats, err = core.ScheduleProgram(p, cfg.Opts)
 	}
@@ -74,9 +73,25 @@ func streamBytes(t *testing.T, src, lang string, cfg Config) (string, Result) {
 	var buf bytes.Buffer
 	res, err := Schedule(context.Background(), d, src, cfg, &buf)
 	if err != nil {
-		t.Fatalf("stream (jobs=%d): %v", cfg.Jobs, err)
+		t.Fatalf("stream (jobs=%d): %v", cfg.Opts.Parallelism, err)
 	}
 	return buf.String(), res
+}
+
+// redefine appends to the asm source src one more definition per pair
+// {name, body}: function name, with the text of function body.
+func redefine(src string, pairs ...[2]string) string {
+	var sb strings.Builder
+	sb.WriteString(src)
+	for _, p := range pairs {
+		name, body := p[0], p[1]
+		text := src[strings.Index(src, "func "+body+" "):]
+		if end := strings.Index(text, "\nfunc "); end >= 0 {
+			text = text[:end+1]
+		}
+		sb.WriteString("func " + name + strings.TrimPrefix(text, "func "+body))
+	}
+	return sb.String()
 }
 
 // TestStreamMatchesMaterialized: the streaming pipeline produces
@@ -103,6 +118,12 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 		units = append(units, unit{name: "progen-asm", src: asm.Print(prog), lang: "asm"})
 	}
 	units = append(units, unit{name: "huge", src: progen.Huge(3, 2500).Source, lang: "asm"})
+	// Redefined functions: each name is emitted once, at its first
+	// definition, with the body of its last.
+	dupBase := progen.Huge(5, 600).Source
+	units = append(units,
+		unit{name: "dup-twice", src: redefine(dupBase, [2]string{"F1", "F3"}), lang: "asm"},
+		unit{name: "dup-thrice", src: redefine(dupBase, [2]string{"F2", "F4"}, [2]string{"F2", "F5"}), lang: "asm"})
 
 	// Difftest reproducers: historical scheduler-bug witnesses.
 	repros, _ := filepath.Glob("../../testdata/difftest/*.asm")
@@ -118,14 +139,15 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 	}
 
 	mach := machine.RS6K()
+	pipe := xform.DefaultConfig()
 	cfgs := []struct {
 		name string
 		cfg  Config
 	}{
 		{"plain-spec", Config{Opts: core.Defaults(mach, core.LevelSpeculative)}},
 		{"plain-useful", Config{Opts: core.Defaults(mach, core.LevelUseful)}},
-		{"pipe-spec", Config{Opts: core.Defaults(mach, core.LevelSpeculative), Pipeline: xform.DefaultConfig(), UsePipeline: true}},
-		{"pipe-dup", Config{Opts: core.Defaults(mach, core.LevelDup), Pipeline: xform.DefaultConfig(), UsePipeline: true}},
+		{"pipe-spec", Config{Opts: core.Defaults(mach, core.LevelSpeculative), Pipeline: &pipe}},
+		{"pipe-dup", Config{Opts: core.Defaults(mach, core.LevelDup), Pipeline: &pipe}},
 	}
 	for _, c := range cfgs {
 		c.cfg.Opts.Verify = true
@@ -133,7 +155,7 @@ func TestStreamMatchesMaterialized(t *testing.T) {
 			want, wantSt := oldBytes(t, u.src, u.lang, c.cfg)
 			for _, jobs := range jobsSweep() {
 				cfg := c.cfg
-				cfg.Jobs = jobs
+				cfg.Opts.Parallelism = jobs
 				got, res := streamBytes(t, u.src, u.lang, cfg)
 				if got != want {
 					t.Fatalf("%s/%s jobs=%d: stream output differs from materialized output", c.name, u.name, jobs)
@@ -156,13 +178,14 @@ func TestStreamHugeJobsSweep(t *testing.T) {
 		target = 800
 	}
 	src := progen.Huge(7, target).Source
+	pipe := xform.DefaultConfig()
 	cfg := Config{
 		Opts:     core.Defaults(machine.RS6K(), core.LevelSpeculative),
-		Pipeline: xform.DefaultConfig(), UsePipeline: true,
+		Pipeline: &pipe,
 	}
 	var base string
 	for _, jobs := range jobsSweep() {
-		cfg.Jobs = jobs
+		cfg.Opts.Parallelism = jobs
 		got, _ := streamBytes(t, src, "asm", cfg)
 		if base == "" {
 			base = got
@@ -187,10 +210,10 @@ func TestStreamOptimalLevel(t *testing.T) {
 }
 
 // TestStreamErrors: front-end errors surface with the materializing
-// path's messages; duplicate definitions are refused with
-// ErrDuplicateFunc.
+// path's messages.
 func TestStreamErrors(t *testing.T) {
-	cfg := Config{Opts: core.Defaults(machine.RS6K(), core.LevelSpeculative), Jobs: 2}
+	cfg := Config{Opts: core.Defaults(machine.RS6K(), core.LevelSpeculative)}
+	cfg.Opts.Parallelism = 2
 	cases := []struct {
 		name, src, lang, want string
 	}{
@@ -210,21 +233,13 @@ func TestStreamErrors(t *testing.T) {
 		}
 	}
 
-	dup := "func f:\n\tRET r0\nfunc f:\n\tRET r1\n"
-	_, err := Schedule(context.Background(), asm.Native, dup, cfg, &bytes.Buffer{})
-	if !errors.Is(err, ErrDuplicateFunc) {
-		t.Errorf("duplicate function: err = %v, want ErrDuplicateFunc", err)
-	}
-	// The materializing parser still accepts it (last definition wins).
-	if _, err := asm.Parse(dup); err != nil {
-		t.Errorf("materializing Parse rejected duplicate-function program: %v", err)
-	}
 }
 
 // TestStreamNilWriter: scheduling without output works (bench mode).
 func TestStreamNilWriter(t *testing.T) {
 	src := progen.Huge(1, 500).Source
-	cfg := Config{Opts: core.Defaults(machine.RS6K(), core.LevelSpeculative), Jobs: 2}
+	cfg := Config{Opts: core.Defaults(machine.RS6K(), core.LevelSpeculative)}
+	cfg.Opts.Parallelism = 2
 	res, err := Schedule(context.Background(), asm.Native, src, cfg, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -47,6 +47,14 @@ type Stats struct {
 	TailDuplicated int
 }
 
+// Add accumulates o into s.
+func (s *Stats) Add(o Stats) {
+	s.Stats.Add(o.Stats)
+	s.LoopsUnrolled += o.LoopsUnrolled
+	s.LoopsRotated += o.LoopsRotated
+	s.TailDuplicated += o.TailDuplicated
+}
+
 // Run executes the general flow of the global scheduling prototype
 // (§6): 1. certain inner loops are unrolled; 2. global scheduling is
 // applied to the inner regions; 3. certain inner loops are rotated;
@@ -170,10 +178,9 @@ func RunCtx(ctx context.Context, f *ir.Func, opts core.Options, cfgX Config) (St
 }
 
 // RunProgram applies Run to every function of p. Functions are
-// independent, so with opts.Parallelism > 1 they run concurrently on a
-// bounded worker pool; schedules and merged Stats are identical to the
-// sequential run (per-function results are combined in program order
-// after all workers finish).
+// independent, so with opts.Parallelism > 1 they run concurrently on
+// core.RunFuncs; schedules and merged Stats are identical to the
+// sequential run (per-function results are combined in program order).
 func RunProgram(p *ir.Program, opts core.Options, cfgX Config) (Stats, error) {
 	return RunProgramCtx(context.Background(), p, opts, cfgX)
 }
@@ -182,34 +189,13 @@ func RunProgram(p *ir.Program, opts core.Options, cfgX Config) (Stats, error) {
 // into every function's pipeline run.
 func RunProgramCtx(ctx context.Context, p *ir.Program, opts core.Options, cfgX Config) (Stats, error) {
 	var st Stats
-	if opts.Parallelism > 1 && len(p.Funcs) > 1 {
-		stats := make([]Stats, len(p.Funcs))
-		errs := make([]error, len(p.Funcs))
-		core.RunFuncsParallel(len(p.Funcs), opts.Parallelism, func(i int) {
-			stats[i], errs[i] = RunCtx(ctx, p.Funcs[i], opts, cfgX)
-		})
-		for i, err := range errs {
-			if err != nil {
-				return st, err
-			}
-			st.Stats.Add(stats[i].Stats)
-			st.LoopsUnrolled += stats[i].LoopsUnrolled
-			st.LoopsRotated += stats[i].LoopsRotated
-			st.TailDuplicated += stats[i].TailDuplicated
-		}
-		return st, nil
-	}
-	for _, f := range p.Funcs {
-		s, err := RunCtx(ctx, f, opts, cfgX)
-		if err != nil {
-			return st, err
-		}
-		st.Stats.Add(s.Stats)
-		st.LoopsUnrolled += s.LoopsUnrolled
-		st.LoopsRotated += s.LoopsRotated
-		st.TailDuplicated += s.TailDuplicated
-	}
-	return st, nil
+	err := core.RunFuncs(ctx, opts.Parallelism, core.FuncsOf(p), func(f *ir.Func) (Stats, error) {
+		return RunCtx(ctx, f, opts, cfgX)
+	}, func(s Stats) error {
+		st.Add(s)
+		return nil
+	})
+	return st, err
 }
 
 // TransformOnly applies unrolling and rotation without any global
@@ -233,9 +219,7 @@ func TransformOnly(f *ir.Func, cfgX Config) Stats {
 func TransformOnlyProgram(p *ir.Program, cfgX Config) Stats {
 	var st Stats
 	for _, f := range p.Funcs {
-		s := TransformOnly(f, cfgX)
-		st.LoopsUnrolled += s.LoopsUnrolled
-		st.LoopsRotated += s.LoopsRotated
+		st.Add(TransformOnly(f, cfgX))
 	}
 	return st
 }
@@ -284,8 +268,8 @@ func transformInnerLoops(f *ir.Func, maxBlocks int,
 
 // scheduleFiltered schedules the regions selected by keep (given the
 // region and its nesting height), innermost first, honouring the size
-// caps in opts. The walk, its region-level parallelism, and its
-// cancellation behaviour live in core.ScheduleRegionTree; this wrapper
+// caps in opts. The walk and its cancellation behaviour live in
+// core.ScheduleRegionTree; this wrapper
 // only rebuilds the flow analyses (the transforms restructure the graph
 // between passes).
 func scheduleFiltered(ctx context.Context, f *ir.Func, opts *core.Options, st *core.Stats,

@@ -74,9 +74,9 @@ func jobsSweep() []int {
 // TestJobsSweepDeterministic runs every workload at every scheduling
 // level under each Parallelism setting in jobsSweep and demands
 // byte-identical assembly and identical merged Stats across all of
-// them. With region-level parallelism this covers both grains: the
-// per-function pool and the per-region-subtree pool inside each
-// function. Run under -race it also shakes out sharing bugs in the
+// them. Parallelism is the one worker budget of the per-function pool
+// (core.RunFuncs); regions inside a function run in order on its
+// worker. Run under -race it also shakes out sharing bugs in the
 // pooled pipeline state.
 func TestJobsSweepDeterministic(t *testing.T) {
 	mach := machine.RS6K()
